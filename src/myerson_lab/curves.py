@@ -142,12 +142,6 @@ class PiecewiseLinearCurve:
                 return False
         return True
 
-    def dump_csv(self) -> str:
-        """Vertex list as CSV text, for debugging plots."""
-        lines = ["q,value"]
-        lines += [f"{q:.17g},{v:.17g}" for q, v in self.vertices]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class QuantileIntervalSet:

@@ -1,8 +1,12 @@
 """Executing an ironing-plan auction on a bid profile.
 
 Bids below the reserve are rejected; bids inside one ironing interval
-share a rank key.  Allocation maximizes welfare over the keys, splitting
-exact ties symmetrically (fractional shares of the contested capacity).
+share a rank key.  Every environment is a list of independent rank
+auctions (``Environment.blocks``: one block of all bidders, or one per
+part of a partition matroid).  Inside each block, allocation maximizes
+welfare over the keys, splitting exact ties symmetrically (fractional
+shares of the contested slots); this is exact for every environment,
+matroids included, with no sampling.
 Payments follow the standard threshold integral of the bidder's
 single-bid allocation curve, which is piecewise constant with
 breakpoints only at the reserve, interval endpoints, and the other
@@ -11,20 +15,17 @@ bidders' keys, so the integral is computed exactly piece by piece.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .environments import Environment, is_independent
+# is_independent is unused here but stays bound: perfbench's traced pass patches it by name
+from .environments import Environment, is_independent  # noqa: F401
 from .learner import IroningPlan
 
 __all__ = ["AuctionOutcome", "ironed_key", "allocate", "myerson_payment", "run_auction"]
-
-_EXACT_TIE_GROUP_LIMIT = 8
-_MC_PERMUTATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -59,106 +60,32 @@ def ironed_key(bid: float, plan: IroningPlan) -> float | None:
     return bid
 
 
-def _tie_groups(keys: Sequence[float | None]) -> list[list[int]]:
-    """Accepted bidders grouped by equal key, highest key first."""
+def _tie_groups(keys: Sequence[float | None], members: Sequence[int]) -> list[list[int]]:
+    """Accepted members grouped by equal key, highest key first."""
     by_key: dict[float, list[int]] = {}
-    for i, k in enumerate(keys):
+    for i in members:
+        k = keys[i]
         if k is not None:
             by_key.setdefault(k, []).append(i)
     return [by_key[k] for k in sorted(by_key, reverse=True)]
 
 
-def _allocate_ranked(env: Environment, groups: list[list[int]]) -> list[float]:
-    """Fractional allocation for slot-type environments."""
-    slots = env.slot_weights()
-    alloc = [0.0] * env.n
-    pos = 0
-    for group in groups:
-        t = len(group)
-        share = sum(slots[pos : pos + t]) / t
-        for i in group:
-            alloc[i] = share
-        pos += t
-        if pos >= env.n:
-            break
-    return alloc
-
-
-def _matroid_group_outcomes(
-    spec, selected: frozenset[int], group: tuple[int, ...]
-) -> list[tuple[dict[int, float], frozenset[int], float]]:
-    """Average greedy additions over every ordering of one tie group.
-
-    Returns (per-bidder win probability, next selected set, probability)
-    branches; orderings with identical outcomes collapse together.
-    """
-    branches: dict[frozenset[int], int] = {}
-    perms = list(itertools.permutations(group))
-    for perm in perms:
-        cur = set(selected)
-        won = []
-        for e in perm:
-            if is_independent(spec, cur | {e}):
-                cur.add(e)
-                won.append(e)
-        key = frozenset(cur)
-        branches[key] = branches.get(key, 0) + 1
-    total = len(perms)
-    out = []
-    for state, count in branches.items():
-        wins = {e: 1.0 for e in state - selected}
-        out.append((wins, state, count / total))
-    return out
-
-
-def _allocate_matroid(env: Environment, groups: list[list[int]]) -> list[float]:
-    """Expected matroid allocation over uniform orderings of tie groups.
-
-    Exact (dynamic program over selected-set states) while every tie
-    group has at most eight members; larger groups fall back to seeded
-    Monte Carlo over joint orderings.
-    """
-    spec = env.matroid
-    if any(len(g) > _EXACT_TIE_GROUP_LIMIT for g in groups):
-        return _allocate_matroid_mc(env, groups)
-    alloc = [0.0] * env.n
-    states: dict[frozenset[int], float] = {frozenset(): 1.0}
-    for group in groups:
-        nxt: dict[frozenset[int], float] = {}
-        for selected, prob in states.items():
-            for wins, state, branch_p in _matroid_group_outcomes(spec, selected, tuple(group)):
-                p = prob * branch_p
-                for e in wins:
-                    alloc[e] += p
-                nxt[state] = nxt.get(state, 0.0) + p
-        states = nxt
-    return alloc
-
-
-def _allocate_matroid_mc(env: Environment, groups: list[list[int]]) -> list[float]:
-    spec = env.matroid
-    rng = np.random.default_rng(0x5EED)
-    alloc = np.zeros(env.n)
-    for _ in range(_MC_PERMUTATIONS):
-        cur: set[int] = set()
-        for group in groups:
-            for e in rng.permutation(group):
-                e = int(e)
-                if is_independent(spec, cur | {e}):
-                    cur.add(e)
-                    alloc[e] += 1.0
-    return list(alloc / _MC_PERMUTATIONS)
-
-
 def allocate(env: Environment, plan: IroningPlan, bids: Sequence[float]) -> list[float]:
-    """Per-bidder expected allocation under symmetric tie splitting."""
+    """Per-bidder expected allocation: in each block, slots go down the
+    members' keys and an exact tie shares its slots' weight equally."""
     if len(bids) != env.n:
         raise ValueError(f"expected {env.n} bids, got {len(bids)}")
     keys = [ironed_key(b, plan) for b in bids]
-    groups = _tie_groups(keys)
-    if env.kind == "matroid":
-        return _allocate_matroid(env, groups)
-    return _allocate_ranked(env, groups)
+    alloc = [0.0] * env.n
+    for members, slots in env.blocks:
+        pos = 0
+        for group in _tie_groups(keys, members):
+            t = len(group)
+            share = sum(slots[pos : pos + t]) / t
+            for i in group:
+                alloc[i] = share
+            pos += t
+    return alloc
 
 
 def _payment_breakpoints(plan: IroningPlan, other_keys: list[float], up_to: float) -> list[float]:
@@ -206,30 +133,18 @@ def interim_payments(env: Environment, plan: IroningPlan, bids: Sequence[float])
     return [_payment_given_alloc(env, plan, bids, i, alloc[i]) for i in range(env.n)]
 
 
-def _realize_ranked(env: Environment, groups: list[list[int]], rng) -> list[float]:
-    slots = env.slot_weights()
-    realized = [0.0] * env.n
-    pos = 0
-    for group in groups:
-        order = [group[j] for j in rng.permutation(len(group))]
-        for offset, i in enumerate(order):
-            realized[i] = slots[pos + offset] if pos + offset < env.n else 0.0
-        pos += len(group)
-        if pos >= env.n:
-            break
-    return realized
-
-
-def _realize_matroid(env: Environment, groups: list[list[int]], rng) -> list[float]:
-    spec = env.matroid
-    cur: set[int] = set()
+def _realize(env: Environment, groups: list[list[int]], rng) -> list[float]:
+    """One seeded outcome: each tie group in uniform random order, every
+    bidder taking its own block's next slot."""
+    slots_of = [None] * env.n
+    for members, slots in env.blocks:
+        remaining = iter(slots)  # shared by the block's members
+        for i in members:
+            slots_of[i] = remaining
     realized = [0.0] * env.n
     for group in groups:
         for j in rng.permutation(len(group)):
-            e = group[j]
-            if is_independent(spec, cur | {e}):
-                cur.add(e)
-                realized[e] = 1.0
+            realized[group[j]] = next(slots_of[group[j]])
     return realized
 
 
@@ -244,11 +159,7 @@ def run_auction(env: Environment, plan: IroningPlan, bids: Sequence[float], seed
     payments = [_payment_given_alloc(env, plan, bids, i, interim[i]) for i in range(env.n)]
     rng = np.random.default_rng(seed)
     keys = [ironed_key(b, plan) for b in bids]
-    groups = _tie_groups(keys)
-    if env.kind == "matroid":
-        realized = _realize_matroid(env, groups, rng)
-    else:
-        realized = _realize_ranked(env, groups, rng)
+    realized = _realize(env, _tie_groups(keys, range(env.n)), rng)
     realized_pay = [
         (payments[i] / interim[i]) * realized[i] if interim[i] > 0.0 else 0.0
         for i in range(env.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -99,7 +99,19 @@ def greedy_max_weight(
 
 @dataclass(frozen=True)
 class Environment:
-    """What sets of bidders can win simultaneously."""
+    """What sets of bidders can win simultaneously.
+
+    Every environment is a list of independent rank auctions, its
+    ``blocks``: the bidders of a block compete only with each other for
+    the block's slots, taken in rank order.  Ranked environments are one
+    block of all bidders.  Under a uniform or partition matroid, greedy
+    selection in rank order (ties in uniform random order) admits a
+    bidder exactly when its block still has spare capacity, and other
+    blocks never affect that, so each block is a cap-unit auction of its
+    own members: one block of min(rank, n) unit slots for a uniform
+    matroid, one block per nonempty part with min(cap, size) unit slots
+    for a partition matroid.
+    """
 
     kind: str
     n: int
@@ -155,6 +167,26 @@ class Environment:
         else:
             raise ValueError("matroid environments have no slot weights")
         return base + (0.0,) * (self.n - len(base))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]:
+        """(member indices, per-rank slot weights zero-padded to the member
+        count) for each independent rank auction; see the class docstring."""
+        if self.kind != "matroid":
+            return ((tuple(range(self.n)), self.slot_weights()),)
+        m = self.matroid
+        if m.kind == "uniform":
+            parts = [(tuple(range(self.n)), m.rank)]
+        else:
+            parts = [
+                (tuple(i for i, b in enumerate(m.blocks) if b == part), cap)
+                for part, cap in enumerate(m.capacities)
+            ]
+        return tuple(
+            (members, (1.0,) * min(cap, len(members)) + (0.0,) * max(len(members) - cap, 0))
+            for members, cap in parts
+            if members
+        )
 
     @staticmethod
     def from_json(text: str) -> "Environment":

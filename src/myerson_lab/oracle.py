@@ -2,8 +2,8 @@
 
 Three independent revenue oracles back every experiment: exhaustive
 profile enumeration (exact, any environment), closed-form quadrature of
-the induced revenue curve against the k-unit interim allocations
-(slot-type environments), and seeded Monte Carlo.  Enumeration and
+the induced revenue curve against the k-unit interim allocations of each
+rank block (any environment), and seeded Monte Carlo.  Enumeration and
 quadrature must agree to float precision; that cross-check is the main
 correctness tripwire of the whole artifact.
 """
@@ -173,30 +173,29 @@ def expected_revenue_quadrature(
 ) -> RevenueReport:
     """Expected revenue as a revenue-curve integral (no profile sums).
 
-    Position environments decompose into the marginal-weight mixture of
-    k-unit auctions.  Exact for plans whose interval endpoints and
-    reserve lie on the support (or at/below its minimum, or above its
-    maximum), which holds for every plan produced by the learner or the
-    exact-plan oracle; other plans are refused.  Matroid environments
-    are refused: their per-bidder allocation curves have no shared
-    closed form.
+    Revenue is the sum over the environment's independent rank blocks;
+    a block of n_b bidders decomposes into the marginal-weight mixture
+    of k-unit auctions among n_b bidders.  Exact for plans whose
+    interval endpoints and reserve lie on the support (or at/below its
+    minimum, or above its maximum), which holds for every plan produced
+    by the learner or the exact-plan oracle; other plans are refused.
     """
     _require_discrete(dist, "expected_revenue_quadrature")
-    if env.kind == "matroid":
-        raise ValueError("quadrature does not support matroid environments")
     for lo, hi in plan.intervals:
         if lo < plan.reserve < hi:
             raise ValueError("reserve inside an ironing interval; canonicalize the plan")
     _check_plan_alignment(dist, plan)
     curve = induced_true_curve(dist, plan)
     v_min = dist.support_min()
-    slots = list(env.slot_weights()) + [0.0]
-    n = env.n
-    total = math.fsum(
-        (slots[j - 1] - slots[j]) * n * _per_bidder_quadrature(curve, j, n, plan.reserve, v_min)
-        for j in range(1, n + 1)
-        if slots[j - 1] != slots[j]
-    )
+    terms = []
+    for members, weights in env.blocks:
+        n, slots = len(members), weights + (0.0,)
+        terms += [
+            (slots[j - 1] - slots[j]) * n * _per_bidder_quadrature(curve, j, n, plan.reserve, v_min)
+            for j in range(1, n + 1)
+            if slots[j - 1] != slots[j]
+        ]
+    total = math.fsum(terms)
     return RevenueReport(expected_revenue=total, method="quadrature")
 
 

@@ -80,6 +80,23 @@ def test_learn_run_eval_pipeline(workdir, capsys):
     assert rep["method"] == "quadrature"
 
 
+def test_eval_quad_matches_enum_on_matroids(workdir, capsys):
+    plan = workdir / "p.json"
+    plan.write_text('{"reserve": 1.0, "intervals": [{"lo": 1.0, "hi": 5.0}]}')
+    for spec in (
+        '{"type": "matroid", "kind": "uniform", "rank": 2, "n": 4}',
+        '{"type": "matroid", "kind": "partition", "blocks": [0, 1, 0, 1], "capacities": [1, 2], "n": 4}',
+    ):
+        env = workdir / "m.json"
+        env.write_text(spec)
+        revenue = {}
+        for method in ("enum", "quad"):
+            args = ["eval", "--dist", str(workdir / "d.json"), "--env", str(env), "--plan", str(plan)]
+            assert main([*args, "--method", method]) == 0
+            revenue[method] = json.loads(capsys.readouterr().out)["expected_revenue"]
+        assert revenue["quad"] == pytest.approx(revenue["enum"], abs=1e-12)
+
+
 def test_oracle_command(workdir, capsys):
     rc = main(["oracle", "--dist", str(workdir / "d.json"), "--env", str(workdir / "e.json")])
     assert rc == 0

@@ -102,13 +102,14 @@ def test_run_auction_deterministic_given_seed():
 
 def test_matroid_allocation_expectation_matches_uniform_split():
     # a rank-k uniform matroid must reproduce the k-unit fractional split
-    spec = MatroidSpec.uniform(2, 4)
-    env_m = Environment.with_matroid(spec, 4)
-    env_k = Environment.k_unit(2, 4)
-    bids = [3.0, 3.0, 3.0, 1.0]
-    assert allocate(env_m, IroningPlan.empty(), bids) == pytest.approx(
-        allocate(env_k, IroningPlan.empty(), bids)
-    )
+    # exactly, also for a tie of more than eight bidders
+    for k, bids in ((2, [3.0, 3.0, 3.0, 1.0]), (3, [2.0] * 10)):
+        n = len(bids)
+        env_m = Environment.with_matroid(MatroidSpec.uniform(k, n), n)
+        env_k = Environment.k_unit(k, n)
+        alloc = allocate(env_m, IroningPlan.empty(), bids)
+        assert alloc == allocate(env_k, IroningPlan.empty(), bids)
+    assert alloc == [0.3] * 10  # the last case: three units over ten tied bidders
 
 
 def test_matroid_partition_tie_expectation():
@@ -116,7 +117,33 @@ def test_matroid_partition_tie_expectation():
     spec = MatroidSpec.partition([0, 0, 1], [1, 1])
     env = Environment.with_matroid(spec, 3)
     alloc = allocate(env, IroningPlan.empty(), [2.0, 2.0, 2.0])
-    assert alloc == pytest.approx([0.5, 0.5, 1.0])
+    assert alloc == [0.5, 0.5, 1.0]
+    # a nine-way tie in a capacity-2 part and a two-way tie in a
+    # capacity-1 part: each part is its own k-unit auction
+    spec = MatroidSpec.partition([0, 1] + [0] * 7 + [1, 0], [2, 1])
+    env = Environment.with_matroid(spec, 11)
+    alloc = allocate(env, IroningPlan.empty(), [2.0] * 11)
+    part0 = allocate(Environment.k_unit(2, 9), IroningPlan.empty(), [2.0] * 9)
+    part1 = allocate(Environment.k_unit(1, 2), IroningPlan.empty(), [2.0] * 2)
+    assert [alloc[i] for i in (0, 2, 3, 4, 5, 6, 7, 8, 10)] == part0
+    assert [alloc[i] for i in (1, 9)] == part1
+
+
+def test_matroid_realized_alloc_pinned():
+    # bidder 0 takes one of part 0's two units; the other five tie on the
+    # ironed key 1.0, and the literals pin which of them each seed's
+    # uniformly random tie order admits
+    env = Environment.with_matroid(MatroidSpec.partition([0, 1, 0, 1, 0, 1], [2, 1]), 6)
+    plan = IroningPlan.canonical([(1.0, 3.0)], 0.5)
+    bids = [4.0, 2.0, 2.0, 1.0, 1.0, 2.5]
+    expected = {
+        0: (1.0, 0.0, 0.0, 1.0, 1.0, 0.0),
+        1: (1.0, 0.0, 1.0, 0.0, 0.0, 1.0),
+        4: (1.0, 0.0, 1.0, 1.0, 0.0, 0.0),
+        5: (1.0, 0.0, 0.0, 0.0, 1.0, 1.0),
+    }
+    for seed, realized in expected.items():
+        assert run_auction(env, plan, bids, seed).realized_alloc == realized
 
 
 def test_matroid_payments_threshold():

@@ -242,3 +242,15 @@ def test_slot_weights_padding():
     assert Environment.single_item(3).slot_weights() == (1.0, 0.0, 0.0)
     assert Environment.k_unit(2, 4).slot_weights() == (1.0, 1.0, 0.0, 0.0)
     assert Environment.position([1.0, 0.4], 3).slot_weights() == (1.0, 0.4, 0.0)
+
+
+def test_blocks_decomposition():
+    assert Environment.position([1.0, 0.4], 3).blocks == (((0, 1, 2), (1.0, 0.4, 0.0)),)
+    assert Environment.with_matroid(MatroidSpec.uniform(2, 3), 3).blocks == (
+        ((0, 1, 2), (1.0, 1.0, 0.0)),
+    )
+    assert Environment.with_matroid(MatroidSpec.uniform(5, 2), 2).blocks == (((0, 1), (1.0, 1.0)),)
+    # part 1 is empty and dropped; part 2's capacity exceeds its size
+    env = Environment.with_matroid(MatroidSpec.partition([0, 2, 0, 2, 0], [1, 3, 4]), 5)
+    assert env.blocks == (((0, 2, 4), (1.0, 0.0, 0.0)), ((1, 3), (1.0, 1.0)))
+    assert env.blocks is env.blocks

@@ -18,7 +18,13 @@ from myerson_lab.oracle import (
     optimal_plan,
 )
 
-from conftest import random_aligned_plan, random_discrete, random_slot_env, rare_high_dist
+from conftest import (
+    random_aligned_plan,
+    random_discrete,
+    random_matroid_env,
+    random_slot_env,
+    rare_high_dist,
+)
 
 
 def test_optimal_plan_example2(bimodal_small):
@@ -81,20 +87,34 @@ def test_enum_guard():
 
 
 def test_enum_quadrature_agreement_random():
-    rng = np.random.default_rng(33)
-    for _ in range(100):
+    for random_env in (random_slot_env, random_matroid_env):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            d = random_discrete(rng)
+            env = random_env(rng)
+            plan = random_aligned_plan(rng, d)
+            e = expected_revenue_enum(d, env, plan).expected_revenue
+            q = expected_revenue_quadrature(d, env, plan).expected_revenue
+            assert abs(e - q) <= 1e-9
+
+
+def test_enum_quadrature_agreement_matroid():
+    # matroids enumerate ordered profiles through the engine, while
+    # quadrature sums closed-form k-unit integrals over the rank blocks
+    rng = np.random.default_rng(34)
+    envs = [random_matroid_env(rng) for _ in range(40)] + [
+        Environment.with_matroid(MatroidSpec.uniform(0, 3), 3),
+        Environment.with_matroid(MatroidSpec.uniform(5, 3), 3),
+        Environment.with_matroid(MatroidSpec.partition([0, 2, 0, 2], [1, 4, 0]), 4),
+    ]
+    kinds = {env.matroid.kind for env in envs}
+    assert kinds == {"uniform", "partition"}
+    for env in envs:
         d = random_discrete(rng)
-        env = random_slot_env(rng)
-        plan = random_aligned_plan(rng, d)
-        e = expected_revenue_enum(d, env, plan).expected_revenue
-        q = expected_revenue_quadrature(d, env, plan).expected_revenue
-        assert abs(e - q) <= 1e-9
-
-
-def test_quadrature_refuses_matroid(bimodal_small):
-    env = Environment.with_matroid(MatroidSpec.uniform(1, 3), 3)
-    with pytest.raises(ValueError):
-        expected_revenue_quadrature(bimodal_small, env, IroningPlan.empty())
+        for plan in (optimal_plan(d), IroningPlan.empty()):
+            e = expected_revenue_enum(d, env, plan).expected_revenue
+            q = expected_revenue_quadrature(d, env, plan).expected_revenue
+            assert abs(e - q) <= 1e-9
 
 
 def test_quadrature_refuses_misaligned_plans(bimodal_small):
