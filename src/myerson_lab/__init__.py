@@ -45,6 +45,7 @@ from .oracle import (
     expected_revenue_quadrature,
     induced_true_curve,
     optimal_plan,
+    virtual_welfare_bound,
 )
 
 __version__ = "0.1.0"

@@ -172,6 +172,8 @@ def _loss_trial(payload):
 
 def experiment_loss(dist, env, m_list, trials, delta, seed, out_path) -> list[str]:
     """Learn-from-samples loss sweep; one CSV row per (m, trial)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     jobs = [
         (dist.to_json(), env.to_json(), m, delta, seed, mi, t)
         for mi, m in enumerate(m_list)

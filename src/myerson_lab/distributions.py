@@ -80,6 +80,8 @@ class ValueDistribution:
     @staticmethod
     def from_json(text: str) -> "ValueDistribution":
         spec = json.loads(text)
+        if not isinstance(spec, dict):
+            raise ValueError("distribution JSON must be an object")
         if spec["type"] == "discrete":
             return ValueDistribution.discrete(
                 [(a["value"], a["prob"]) for a in spec["atoms"]], spec["h_max"]

@@ -11,11 +11,16 @@ Payments follow the standard threshold integral of the bidder's
 single-bid allocation curve, which is piecewise constant with
 breakpoints only at the reserve, interval endpoints, and the other
 bidders' keys, so the integral is computed exactly piece by piece.
+All bidders share one sorted breakpoint list per profile, and each
+piece's allocation is read off the bidder's block by bisecting the
+sorted keys of its rivals; ``myerson_payment`` instead re-runs
+``allocate`` at every piece and serves the tests as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,49 +93,79 @@ def allocate(env: Environment, plan: IroningPlan, bids: Sequence[float]) -> list
     return alloc
 
 
-def _payment_breakpoints(plan: IroningPlan, other_keys: list[float], up_to: float) -> list[float]:
-    pts = {0.0, up_to, plan.reserve}
-    for lo, hi in plan.intervals:
-        pts.add(lo)
-        pts.add(hi)
-    pts.update(other_keys)
-    return sorted(p for p in pts if 0.0 <= p <= up_to)
-
-
-def _payment_given_alloc(
-    env: Environment, plan: IroningPlan, bids: Sequence[float], bidder: int, alloc_at_bid: float
-) -> float:
-    if alloc_at_bid == 0.0:
-        return 0.0
-    b_i = bids[bidder]
-    others = [ironed_key(b, plan) for j, b in enumerate(bids) if j != bidder]
-    pts = _payment_breakpoints(plan, [k for k in others if k is not None], b_i)
-    probe = list(bids)
-    integral = 0.0
-    for z0, z1 in zip(pts, pts[1:]):
-        if z1 <= z0:
-            continue
-        probe[bidder] = 0.5 * (z0 + z1)
-        x_mid = allocate(env, plan, probe)[bidder]
-        integral += x_mid * (z1 - z0)
-    return b_i * alloc_at_bid - integral
-
-
 def myerson_payment(env: Environment, plan: IroningPlan, bids: Sequence[float], bidder: int) -> float:
     """Threshold-integral payment for one bidder, computed exactly.
 
     p = b * x(b) - integral of x(z) dz over [0, b], where x(z) is the
     bidder's allocation when bidding z against the fixed others; x is
-    piecewise constant, so each piece is evaluated at its midpoint.
+    piecewise constant, so each piece is evaluated at its midpoint by
+    calling ``allocate``.  This is the reference that the faster
+    ``interim_payments`` must match to the bit.
     """
     alloc_at_bid = allocate(env, plan, bids)[bidder]
-    return _payment_given_alloc(env, plan, bids, bidder, alloc_at_bid)
+    if alloc_at_bid == 0.0:
+        return 0.0
+    b_i = bids[bidder]
+    others = [ironed_key(b, plan) for j, b in enumerate(bids) if j != bidder]
+    pts = {0.0, b_i, plan.reserve}
+    for lo, hi in plan.intervals:
+        pts.update((lo, hi))
+    pts.update(k for k in others if k is not None)
+    pts = sorted(p for p in pts if p <= b_i)
+    probe = list(bids)
+    integral = 0.0
+    for z0, z1 in zip(pts, pts[1:]):
+        probe[bidder] = 0.5 * (z0 + z1)
+        integral += allocate(env, plan, probe)[bidder] * (z1 - z0)
+    return b_i * alloc_at_bid - integral
+
+
+def _threshold_payments(
+    env: Environment, plan: IroningPlan, bids: Sequence[float], keys: list[float | None], alloc: list[float]
+) -> list[float]:
+    """Every bidder's ``myerson_payment``, bit for bit, from one key pass.
+
+    The breakpoint list {0, reserve, interval endpoints, accepted keys}
+    is shared: a bidder's own key is its bid or an interval's lower
+    endpoint, so cutting the list at the bid gives exactly the bidder's
+    own breakpoints.  On a piece whose midpoint has key k, the bidder
+    ranks below the block rivals with keys above k and ties with those
+    at k, which is what ``allocate`` would compute.
+    """
+    pts = {0.0, plan.reserve}
+    for lo, hi in plan.intervals:
+        pts.update((lo, hi))
+    pts.update(k for k in keys if k is not None)
+    pts = sorted(pts)
+    mid_keys = [ironed_key(0.5 * (z0 + z1), plan) for z0, z1 in zip(pts, pts[1:])]
+    payments = [0.0] * env.n
+    for members, slots in env.blocks:
+        block_keys = sorted(keys[i] for i in members if keys[i] is not None)
+        for i in members:
+            if alloc[i] == 0.0:
+                continue
+            b, own = bids[i], keys[i]
+            cut = bisect_right(pts, b)
+            pieces = list(zip(pts[: cut - 1], pts[1:cut], mid_keys))
+            if pts[cut - 1] < b:
+                pieces.append((pts[cut - 1], b, ironed_key(0.5 * (pts[cut - 1] + b), plan)))
+            integral = 0.0
+            for z0, z1, k in pieces:
+                if k is None:
+                    continue
+                at_most = bisect_right(block_keys, k)
+                pos = len(block_keys) - at_most - (own > k)
+                t = at_most - bisect_left(block_keys, k) - (own == k) + 1
+                integral += sum(slots[pos : pos + t]) / t * (z1 - z0)
+            payments[i] = b * alloc[i] - integral
+    return payments
 
 
 def interim_payments(env: Environment, plan: IroningPlan, bids: Sequence[float]) -> list[float]:
-    """All bidders' payments, sharing one allocation pass."""
+    """All bidders' threshold payments from one allocation and one key pass."""
     alloc = allocate(env, plan, bids)
-    return [_payment_given_alloc(env, plan, bids, i, alloc[i]) for i in range(env.n)]
+    keys = [ironed_key(b, plan) for b in bids]
+    return _threshold_payments(env, plan, bids, keys, alloc)
 
 
 def _realize(env: Environment, groups: list[list[int]], rng) -> list[float]:
@@ -156,9 +191,9 @@ def run_auction(env: Environment, plan: IroningPlan, bids: Sequence[float], seed
     """
     validate_bids(bids)
     interim = allocate(env, plan, bids)
-    payments = [_payment_given_alloc(env, plan, bids, i, interim[i]) for i in range(env.n)]
-    rng = np.random.default_rng(seed)
     keys = [ironed_key(b, plan) for b in bids]
+    payments = _threshold_payments(env, plan, bids, keys, interim)
+    rng = np.random.default_rng(seed)
     realized = _realize(env, _tie_groups(keys, range(env.n)), rng)
     realized_pay = [
         (payments[i] / interim[i]) * realized[i] if interim[i] > 0.0 else 0.0

@@ -97,6 +97,13 @@ def greedy_max_weight(
     return chosen
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Environment:
     """What sets of bidders can win simultaneously.
@@ -191,19 +198,25 @@ class Environment:
     @staticmethod
     def from_json(text: str) -> "Environment":
         spec = json.loads(text)
+        if not isinstance(spec, dict):
+            raise ValueError("environment JSON must be an object")
         t = spec["type"]
+        n = _json_int(spec["n"], "n")
         if t == "single_item":
-            return Environment.single_item(spec["n"])
+            return Environment.single_item(n)
         if t == "k_unit":
-            return Environment.k_unit(spec["k"], spec["n"])
+            return Environment.k_unit(_json_int(spec["k"], "k"), n)
         if t == "position":
-            return Environment.position(spec["weights"], spec["n"])
+            return Environment.position(spec["weights"], n)
         if t == "matroid":
             if spec["kind"] == "uniform":
-                m = MatroidSpec.uniform(spec["rank"], spec["n"])
+                m = MatroidSpec.uniform(_json_int(spec["rank"], "rank"), n)
             else:
-                m = MatroidSpec.partition(spec["blocks"], spec["capacities"])
-            return Environment.with_matroid(m, spec["n"])
+                m = MatroidSpec.partition(
+                    [_json_int(b, "block id") for b in spec["blocks"]],
+                    [_json_int(c, "capacity") for c in spec["capacities"]],
+                )
+            return Environment.with_matroid(m, n)
         raise ValueError(f"unknown environment type {t!r}")
 
     def to_json(self) -> str:

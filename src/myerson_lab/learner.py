@@ -66,14 +66,18 @@ class IroningPlan:
 
     @staticmethod
     def canonical(intervals: Sequence[tuple[float, float]], reserve: float) -> "IroningPlan":
-        """Sort, merge touching intervals, clip at the reserve, prune."""
+        """Sort, merge overlapping intervals, clip at the reserve, prune.
+
+        Touching intervals such as [2, 3) and [3, 5) stay apart: merged,
+        they would pool bids that the two separate intervals rank apart.
+        """
         reserve = max(0.0, float(reserve))
         cleaned: list[tuple[float, float]] = []
         for lo, hi in sorted((float(lo), float(hi)) for lo, hi in intervals):
             lo = max(lo, reserve)  # below-reserve bids are rejected anyway
             if hi <= lo:
                 continue
-            if cleaned and lo <= cleaned[-1][1]:
+            if cleaned and lo < cleaned[-1][1]:
                 cleaned[-1] = (cleaned[-1][0], max(cleaned[-1][1], hi))
             else:
                 cleaned.append((lo, hi))
@@ -82,6 +86,8 @@ class IroningPlan:
     @staticmethod
     def from_json(text: str) -> "IroningPlan":
         spec = json.loads(text)
+        if not isinstance(spec, dict):
+            raise ValueError("plan JSON must be an object")
         return IroningPlan.canonical(
             [(iv["lo"], iv["hi"]) for iv in spec.get("intervals", [])], spec["reserve"]
         )

@@ -5,7 +5,9 @@ profile enumeration (exact, any environment), closed-form quadrature of
 the induced revenue curve against the k-unit interim allocations of each
 rank block (any environment), and seeded Monte Carlo.  Enumeration and
 quadrature must agree to float precision; that cross-check is the main
-correctness tripwire of the whole artifact.
+correctness tripwire of the whole artifact.  A fourth figure, the
+discrete virtual-welfare bound, caps the revenue of every auction and is
+met by the optimal plan, which checks ``optimal_plan`` itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import PiecewiseLinearCurve, induce_curve
+from .curves import PiecewiseLinearCurve, concave_envelope, induce_curve
 from .distributions import (
     ValueDistribution,
     _discrete_price_runs,
@@ -39,6 +41,7 @@ __all__ = [
     "expected_revenue_enum",
     "expected_revenue_quadrature",
     "expected_revenue_mc",
+    "virtual_welfare_bound",
     "additive_loss",
 ]
 
@@ -214,6 +217,34 @@ def expected_revenue_mc(
     else:
         stderr = 0.0
     return RevenueReport(expected_revenue=mean, method="monte_carlo", stderr=stderr, trials=trials)
+
+
+def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
+    """Expected ironed virtual welfare: no auction earns more, and the
+    optimal plan earns exactly this (Elkind, SODA 2007).
+
+    An atom's ironed virtual value is the slope of the concave hull of
+    the revenue curve over the atom's quantile run, clipped at 0.  Each
+    block serves its members' virtual values in sorted order, the r-th
+    highest weighted by the r-th slot.  The slopes fall as the quantile
+    grows, so the r-th highest value is at least a run's slope exactly
+    when r or more members draw quantiles at most the run's end.
+    """
+    _require_discrete(dist, "virtual_welfare_bound")
+    hull = concave_envelope(exact_revenue_curve(dist))
+    levels = [
+        (q1, max(0.0, (hull.evaluate(q1) - hull.evaluate(q0)) / (q1 - q0)))
+        for q0, q1, _ in _discrete_price_runs(dist)
+        if q1 > q0
+    ]
+    terms = []
+    for (q, phi), (_, phi_next) in zip(levels, levels[1:] + [(1.0, 0.0)]):
+        for members, slots in env.blocks:
+            n = len(members)
+            for r, w in enumerate(slots, 1):
+                at_least_r = math.fsum(math.comb(n, c) * q**c * (1.0 - q) ** (n - c) for c in range(r, n + 1))
+                terms.append(w * (phi - phi_next) * at_least_r)
+    return math.fsum(terms)
 
 
 def additive_loss(dist: ValueDistribution, env: Environment, learned_plan: IroningPlan) -> float:

@@ -127,6 +127,45 @@ def test_exit_codes(workdir):
     assert res.returncode == 2  # argparse: missing required args
 
 
+ARRAY = "[1, 2]"
+
+
+@pytest.mark.parametrize(
+    "bad_json, args, message",
+    [
+        (ARRAY, ["eval", "--dist", "bad.json", "--env", "e.json", "--plan", "p.json"], "distribution JSON must be an object"),
+        (ARRAY, ["eval", "--dist", "d.json", "--env", "bad.json", "--plan", "p.json"], "environment JSON must be an object"),
+        (ARRAY, ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"], "plan JSON must be an object"),
+        ('{"type": "single_item", "n": "2"}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "n must be an integer, got '2'"),
+        ('{"type": "single_item", "n": 2.5}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "n must be an integer, got 2.5"),
+        (ARRAY, ["experiment", "loss", "--dist", "d.json", "--env", "e.json", "--m-list", "10", "--trials", "0"],
+         "trials must be >= 1, got 0"),
+    ],
+    ids=["dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials"],
+)
+def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):
+    (workdir / "bad.json").write_text(bad_json)
+    (workdir / "p.json").write_text('{"reserve": 0.0, "intervals": []}')
+    monkeypatch.chdir(workdir)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_experiment_loss_on_a_five_atom_law(workdir, monkeypatch):
+    # merging the touching intervals [2,3), [3,5), [5,10) made optimal_plan
+    # earn less than a learned plan here, tripping the additive_loss check
+    monkeypatch.setenv("MYERSON_LAB_THREADS", "1")
+    atoms = [{"value": v, "prob": p} for v, p in ((1, 0.5), (2, 0.2), (3, 0.15), (5, 0.1), (10, 0.05))]
+    dist = workdir / "law.json"
+    dist.write_text(json.dumps({"type": "discrete", "h_max": 10, "atoms": atoms}))
+    env = workdir / "single5.json"
+    env.write_text('{"type": "single_item", "n": 5}')
+    args = ["--dist", str(dist), "--env", str(env), "--m-list", "100", "--trials", "20", "--seed", "0"]
+    assert main(["experiment", "loss", *args]) == 0
+
+
 def test_experiment_loss_schema_and_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("MYERSON_LAB_THREADS", "1")
     dist = ValueDistribution.from_json(DIST_JSON)

@@ -243,3 +243,77 @@ def test_second_price_with_reserve_reduction():
             assert alloc[winner] == 1.0
             second = max([b for j, b in enumerate(bids) if j != winner], default=0.0)
             assert pays[winner] == pytest.approx(max(second, reserve), abs=1e-12)
+
+
+def _constructor_plan(rng, grid) -> IroningPlan:
+    """Separate or touching intervals on grid points, built by the
+    constructor so that canonicalization cannot move them."""
+    ends = sorted(set(rng.choice(grid, size=int(rng.integers(0, 6))).tolist()))
+    reserve = float(rng.choice([0.0, *grid]))
+    intervals = []
+    for lo, hi in zip(ends, ends[1:]):
+        free = not intervals or lo >= intervals[-1][1]
+        if free and hi > reserve and not lo < reserve < hi and rng.random() < 0.7:
+            intervals.append((lo, hi))
+    return IroningPlan(tuple(intervals), reserve)
+
+
+def _corpus_env(rng, case: int) -> Environment:
+    """Cycles through single item, k units, positions, a uniform matroid and
+    a partition matroid of 2-3 parts, one of them of capacity 0."""
+    n = int(rng.integers(1, 6))
+    kind = case % 5
+    if kind == 0:
+        return Environment.single_item(n)
+    if kind == 1:
+        return Environment.k_unit(int(rng.integers(1, n + 1)), n)
+    if kind == 2:
+        weights = sorted(rng.choice([0.0, 0.3, 0.6, 1.0, float(rng.uniform())], size=int(rng.integers(1, n + 1))))
+        return Environment.position(weights[::-1], n)
+    if kind == 3:
+        return Environment.with_matroid(MatroidSpec.uniform(int(rng.integers(0, n + 2)), n), n)
+    parts = int(rng.integers(2, 4))
+    caps = [0] + [int(rng.integers(1, 3)) for _ in range(parts - 1)]
+    rng.shuffle(caps)
+    n = max(n, 2)
+    return Environment.with_matroid(MatroidSpec.partition([int(rng.integers(0, parts)) for _ in range(n)], caps), n)
+
+
+def test_interim_payments_equal_reference_on_corpus():
+    # interim_payments reads every piece off the block's sorted keys,
+    # myerson_payment re-runs allocate on it; both do the same float
+    # arithmetic, so they must agree to the bit
+    rng = np.random.default_rng(23)
+    grid = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.5]
+    for case in range(2500):
+        env = _corpus_env(rng, case)
+        plan = _constructor_plan(rng, grid)
+        endpoints = [e for iv in plan.intervals for e in iv]
+        special = [0.0, plan.reserve, *endpoints, *grid, float(rng.uniform(0.0, 8.0))]
+        bids = [float(rng.choice(special)) for _ in range(env.n)]
+        pays = interim_payments(env, plan, bids)
+        assert pays == [myerson_payment(env, plan, bids, i) for i in range(env.n)]
+        assert run_auction(env, plan, bids, case).interim_payment == tuple(pays)
+
+
+def test_realized_payments_pinned():
+    # recorded before payments were read off the sorted keys; touching
+    # intervals [1,3) and [3,5) split the bidders into two tie groups
+    plan = IroningPlan(((1.0, 3.0), (3.0, 5.0)), reserve=1.0)
+    bids = [4.0, 2.0, 3.0, 1.0, 3.5]
+    position = Environment.position([1.0, 0.6, 0.3], 5)
+    partition = Environment.with_matroid(MatroidSpec.partition([0, 1, 0, 1, 0], [2, 1]), 5)
+    expected = {
+        (position, 0): (1.6105263157894736, 0.0, 0.8052631578947369, 0.0, 2.6842105263157894),
+        (position, 1): (2.6842105263157894, 0.0, 1.6105263157894738, 0.0, 0.8052631578947368),
+        (position, 3): (0.8052631578947368, 0.0, 1.6105263157894738, 0.0, 2.6842105263157894),
+        (partition, 0): (3.0, 0.0, 0.0, 1.0, 3.0),
+        (partition, 1): (3.0, 1.0, 3.0, 0.0, 0.0),
+        (partition, 3): (0.0, 1.0, 3.0, 0.0, 3.0),
+    }
+    for (env, seed), realized in expected.items():
+        assert run_auction(env, plan, bids, seed).realized_payment == realized
+    assert run_auction(position, plan, bids, 0).interim_payment == (
+        1.7000000000000002, 0.0, 1.7000000000000004, 0.0, 1.7000000000000002
+    )
+    assert run_auction(partition, plan, bids, 0).interim_payment == (2.0, 0.5, 2.0, 0.5, 1.9999999999999998)

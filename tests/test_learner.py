@@ -30,7 +30,7 @@ def test_plan_validation():
 
 def test_plan_canonicalization():
     plan = IroningPlan.canonical([(3.0, 4.0), (1.0, 2.0), (2.0, 3.0)], reserve=0.5)
-    assert plan.intervals == ((1.0, 4.0),)
+    assert plan.intervals == ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
     plan = IroningPlan.canonical([(1.0, 2.0)], reserve=2.5)
     assert plan.intervals == ()
     plan = IroningPlan.canonical([(1.0, 4.0)], reserve=2.0)

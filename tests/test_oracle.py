@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from myerson_lab.curves import concave_envelope, pointwise_gap
-from myerson_lab.distributions import ValueDistribution, exact_revenue_curve
+from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
 from myerson_lab.engine import interim_payments
 from myerson_lab.environments import Environment, MatroidSpec, interim_allocation_kunit
 from myerson_lab.learner import IroningPlan, compute_auction
@@ -16,6 +16,7 @@ from myerson_lab.oracle import (
     expected_revenue_quadrature,
     induced_true_curve,
     optimal_plan,
+    virtual_welfare_bound,
 )
 
 from conftest import (
@@ -115,6 +116,41 @@ def test_enum_quadrature_agreement_matroid():
             e = expected_revenue_enum(d, env, plan).expected_revenue
             q = expected_revenue_quadrature(d, env, plan).expected_revenue
             assert abs(e - q) <= 1e-9
+
+
+ITEM1_LAW = ValueDistribution.discrete([(1.0, 0.5), (2.0, 0.2), (3.0, 0.15), (5.0, 0.1), (10.0, 0.05)], h_max=10.0)
+
+
+def test_optimal_plan_keeps_touching_intervals_apart():
+    # the hull touches the revenue curve at atoms 3 and 5, so the optimal
+    # plan irons [2,3), [3,5) and [5,10) separately; pooling them into
+    # [2,10) earned 3.91914 on position([1, .6, .3], 5)
+    plan = optimal_plan(ITEM1_LAW)
+    assert plan == IroningPlan(((2.0, 3.0), (3.0, 5.0), (5.0, 10.0)), reserve=2.0)
+    for env, bound in (
+        (Environment.single_item(5), 3.431425),
+        (Environment.k_unit(2, 5), 4.49019375),
+        (Environment.position([1.0, 0.6, 0.3], 5), 4.180729375),
+    ):
+        assert virtual_welfare_bound(ITEM1_LAW, env) == pytest.approx(bound, abs=1e-12)
+        assert expected_revenue_enum(ITEM1_LAW, env, plan).expected_revenue == pytest.approx(bound, abs=1e-12)
+
+
+def test_optimal_plan_meets_virtual_welfare_bound():
+    # no auction beats the expected ironed virtual welfare, and the
+    # optimal plan earns it exactly, in every environment
+    rng = np.random.default_rng(66)
+    kinds = set()
+    for _ in range(150):
+        d = random_discrete(rng, max_atoms=5)
+        env = (random_slot_env if rng.random() < 0.6 else random_matroid_env)(rng, n_max=4)
+        kinds.add(env.matroid.kind if env.kind == "matroid" else env.kind)
+        bound = virtual_welfare_bound(d, env)
+        assert expected_revenue_enum(d, env, optimal_plan(d)).expected_revenue == pytest.approx(bound, abs=1e-12)
+        for m in (5, 50):
+            plan = compute_auction(sample(d, m, rng), 0.2, d.h_max)
+            assert expected_revenue_enum(d, env, plan).expected_revenue <= bound + 1e-12
+    assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
 
 
 def test_quadrature_refuses_misaligned_plans(bimodal_small):
