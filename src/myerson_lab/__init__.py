@@ -24,7 +24,7 @@ from .distributions import (
     sample,
     tail_probability,
 )
-from .empirical import EmpiricalQuantile, dkw_epsilon, eval_quantile, r_max_curve, r_min_curve
+from .empirical import EmpiricalQuantile, dkw_epsilon, r_max_curve, r_min_curve
 from .engine import AuctionOutcome, allocate, ironed_key, myerson_payment, run_auction
 from .environments import (
     Environment,

@@ -1,18 +1,19 @@
 """Piecewise-linear curve arithmetic in quantile space.
 
-Curves live on the quantile domain [0, 1] and may carry jump
-discontinuities, stored as two vertices sharing one q: first the left
-limit, then the value taken at the point (which equals the right limit;
-evaluation is right-continuous at jumps).  The concave envelope, the
-intervals where a curve differs from its envelope, and the chord/plateau
-construction used for ironing and reserve prices all operate on this
-representation.
+A curve lives on the quantile domain [0, 1] and is stored as two float
+arrays, the vertex quantiles ``qs`` and their ``values``.  It may carry
+jump discontinuities, stored as two vertices sharing one q: first the
+left limit, then the value taken at the point (which equals the right
+limit; evaluation is right-continuous at jumps).  Every evaluation takes
+one quantile or an array of them.  Revenue curves q * price(q) are built
+from ``PriceRuns``, two arrays of run edges and run prices.  The concave
+envelope, the intervals where a curve differs from its envelope, and the
+chord/plateau construction used for ironing and reserve prices all
+operate on this representation, in a sort plus linear passes.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "PiecewiseLinearCurve",
+    "PriceRuns",
     "QuantileIntervalSet",
     "concave_envelope",
     "difference_intervals",
@@ -32,115 +34,88 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearCurve:
     """A piecewise-linear function on [0, 1] with optional jumps.
 
-    ``vertices`` is a sequence of (q, value) pairs with nondecreasing q,
-    first q equal to 0 and last equal to 1.  At most two vertices may
-    share one q; the pair represents a jump as (left limit, right limit).
+    ``qs`` and ``values`` are read-only float arrays of one length: the
+    vertices, with nondecreasing q, first q equal to 0 and last equal to
+    1.  At most two vertices may share one q; the pair represents a jump
+    as (left limit, right limit).  The evaluation methods take one
+    quantile or an array of them and answer in kind.
     """
 
-    vertices: tuple[tuple[float, float], ...]
+    qs: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        vs = self.vertices
-        if len(vs) < 2:
-            raise ValueError("curve needs at least two vertices")
-        if vs[0][0] != 0.0 or vs[-1][0] != 1.0:
+        qs, vs = np.array(self.qs, dtype=float), np.array(self.values, dtype=float)
+        qs.flags.writeable = vs.flags.writeable = False
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "values", vs)
+        if qs.ndim != 1 or qs.shape != vs.shape or len(qs) < 2:
+            raise ValueError("curve needs at least two vertices, as two 1-D arrays of one length")
+        if qs[0] != 0.0 or qs[-1] != 1.0:
             raise ValueError("curve must span q in [0, 1]")
-        run = 1
-        for (q0, _), (q1, _) in zip(vs, vs[1:]):
-            if q1 < q0:
-                raise ValueError("vertex q coordinates must be nondecreasing")
-            run = run + 1 if q1 == q0 else 1
-            if run > 2:
-                raise ValueError("at most two vertices may share a q")
-        for _, v in vs:
-            if not math.isfinite(v) or v < -1e-12:
-                raise ValueError("curve values must be finite and nonnegative")
+        dq = qs[1:] - qs[:-1]
+        if (dq < 0.0).any():
+            raise ValueError("vertex q coordinates must be nondecreasing")
+        if ((dq[1:] == 0.0) & (dq[:-1] == 0.0)).any():
+            raise ValueError("at most two vertices may share a q")
+        if not (vs.min() >= -1e-12 and vs.max() < np.inf):  # NaN fails both
+            raise ValueError("curve values must be finite and nonnegative")
+
+    @staticmethod
+    def from_vertices(vertices) -> "PiecewiseLinearCurve":
+        """Curve through a sequence of (q, value) pairs."""
+        arr = np.array(vertices, dtype=float).reshape(-1, 2)
+        return PiecewiseLinearCurve(arr[:, 0], arr[:, 1])
 
     @property
-    def qs(self) -> tuple[float, ...]:
-        return tuple(q for q, _ in self.vertices)
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """The (q, value) pairs as floats, built on each access."""
+        return tuple(zip(self.qs.tolist(), self.values.tolist()))
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.vertices)
+    def _at(self, q, side: str):
+        """Vertex i's value where it sits at q, else the interpolation on
+        the piece from vertex k to k + 1 that holds q."""
+        q = np.asarray(q, dtype=float)
+        if not ((q >= 0.0) & (q <= 1.0)).all():
+            raise ValueError(f"q={q} outside [0, 1]")
+        qs, vs = self.qs, self.values
+        if side == "right":
+            i = k = np.searchsorted(qs, q, side="right") - 1  # last vertex with q_v <= q
+        else:
+            i = np.searchsorted(qs, q, side="left")  # first vertex with q_v >= q
+            k = np.maximum(i - 1, 0)
+        k = np.minimum(k, len(qs) - 2)
+        dq = qs[k + 1] - qs[k]  # zero only where vertex i sits at q
+        t = (q - qs[k]) / np.where(dq > 0.0, dq, 1.0)
+        return _float_or_array(np.where(qs[i] == q, vs[i], vs[k] + t * (vs[k + 1] - vs[k])))
 
-    def evaluate(self, q: float) -> float:
+    def evaluate(self, q):
         """Value at q; at a jump, the right limit."""
-        if q < 0.0 or q > 1.0:
-            raise ValueError(f"q={q} outside [0, 1]")
-        qs = self.qs
-        i = bisect_right(qs, q) - 1  # last vertex with q_v <= q
-        qi, vi = self.vertices[i]
-        if qi == q or i == len(qs) - 1:
-            return vi
-        qj, vj = self.vertices[i + 1]
-        t = (q - qi) / (qj - qi)
-        return vi + t * (vj - vi)
+        return self._at(q, "right")
 
-    def evaluate_many(self, qs: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`evaluate` over an array of quantiles."""
-        q = np.asarray(qs, dtype=float)
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            raise ValueError("quantiles outside [0, 1]")
-        vq = np.array(self.qs)
-        vv = np.array(self.values)
-        idx = np.searchsorted(vq, q, side="right") - 1
-        idx = np.clip(idx, 0, len(vq) - 1)
-        out = np.empty_like(q)
-        exact = (vq[idx] == q) | (idx == len(vq) - 1)
-        out[exact] = vv[idx[exact]]
-        rest = ~exact
-        if np.any(rest):
-            i = idx[rest]
-            t = (q[rest] - vq[i]) / (vq[i + 1] - vq[i])
-            out[rest] = vv[i] + t * (vv[i + 1] - vv[i])
-        return out
-
-    def left_value(self, q: float) -> float:
+    def left_value(self, q):
         """Limit from the left at q (the value itself at q=0)."""
-        if q < 0.0 or q > 1.0:
-            raise ValueError(f"q={q} outside [0, 1]")
-        qs = self.qs
-        i = bisect_left(qs, q)  # first vertex with q_v >= q
-        if i < len(qs) and qs[i] == q:
-            return self.vertices[i][1]
-        qi, vi = self.vertices[i - 1]
-        qj, vj = self.vertices[i]
-        t = (q - qi) / (qj - qi)
-        return vi + t * (vj - vi)
+        return self._at(q, "left")
 
-    def upper_value(self, q: float) -> float:
+    def upper_value(self, q):
         """max of the one-sided limits at q (the attained sup there)."""
-        return max(self.left_value(q), self.evaluate(q))
-
-    def max_value(self) -> float:
-        return max(self.values)
+        left, right = self.left_value(q), self.evaluate(q)
+        return _float_or_array(np.where(right > left, right, left))
 
     def segments(self) -> Iterable[tuple[float, float, float, float]]:
         """Yield (q0, v0, q1, v1) for each nondegenerate linear piece."""
-        for (q0, v0), (q1, v1) in zip(self.vertices, self.vertices[1:]):
+        qs, vs = self.qs.tolist(), self.values.tolist()
+        for q0, v0, q1, v1 in zip(qs, vs, qs[1:], vs[1:]):
             if q1 > q0:
                 yield q0, v0, q1, v1
-
-    def breakpoints(self) -> list[float]:
-        out: list[float] = []
-        for q in self.qs:
-            if not out or q != out[-1]:
-                out.append(q)
-        return out
-
-    def almost_equal(self, other: "PiecewiseLinearCurve", tol: float = 1e-12) -> bool:
-        grid = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        for q in grid:
-            if abs(self.evaluate(q) - other.evaluate(q)) > tol:
-                return False
-            if abs(self.left_value(q) - other.left_value(q)) > tol:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -165,46 +140,65 @@ class QuantileIntervalSet:
         return len(self.intervals)
 
 
-def curve_from_price_runs(runs: Sequence[tuple[float, float, float]]) -> PiecewiseLinearCurve:
+@dataclass(frozen=True, eq=False)
+class PriceRuns:
+    """Contiguous constant-price runs covering the quantiles [0, 1].
+
+    Run i prices the quantiles from ``edges[i]`` to ``edges[i + 1]`` at
+    ``prices[i]``; ``edges`` rises from 0 to 1 and has one more entry
+    than ``prices``.  A run of zero width still names the price at
+    q = 0 when it comes first.
+    """
+
+    edges: np.ndarray
+    prices: np.ndarray
+
+    def __post_init__(self):
+        edges, prices = np.asarray(self.edges, dtype=float), np.asarray(self.prices, dtype=float)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "prices", prices)
+        if prices.ndim != 1 or edges.shape != (len(prices) + 1,):
+            raise ValueError("price runs need one more edge than prices")
+        if edges[0] != 0.0 or edges[-1] != 1.0 or (edges[1:] < edges[:-1]).any():
+            raise ValueError("price runs must cover [0, 1] in order")
+
+    @staticmethod
+    def nonempty(edges: np.ndarray, prices: np.ndarray) -> "PriceRuns":
+        """The runs of positive width among contiguous ones."""
+        keep = edges[1:] > edges[:-1]
+        return PriceRuns(np.concatenate((edges[:-1][keep], edges[-1:])), prices[keep])
+
+    def __len__(self) -> int:
+        return len(self.prices)
+
+
+def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
     """Build q * price(q) from contiguous constant-price runs on [0, 1].
 
-    ``runs`` is a list of (q_start, q_end, price) covering [0, 1] in
-    order.   Runs with equal prices are merged; each price change at a
-    shared boundary q becomes a jump pair (q, q*price_left), (q, q*price_right).
+    Empty runs are dropped and runs with equal prices merged; each price
+    change at a boundary q becomes a jump pair (q, q*price_left),
+    (q, q*price_right).
     """
-    merged: list[list[float]] = []
-    for q0, q1, p in runs:
-        if q1 <= q0:
-            continue
-        if merged and merged[-1][2] == p:
-            merged[-1][1] = q1
-        else:
-            merged.append([q0, q1, p])
-    if not merged or merged[0][0] != 0.0 or merged[-1][1] != 1.0:
-        raise ValueError("price runs must cover [0, 1]")
-    verts: list[tuple[float, float]] = [(0.0, 0.0)]
-    for i, (q0, q1, p) in enumerate(merged):
-        if q0 > 0.0:
-            verts.append((q0, q0 * p))
-        if i + 1 < len(merged):
-            verts.append((q1, q1 * p))  # left limit; next run opens the jump
-        else:
-            verts.append((1.0, p))
-    return PiecewiseLinearCurve(tuple(verts))
+    q0, q1, p = runs.edges[:-1], runs.edges[1:], runs.prices
+    keep = q1 > q0
+    q0, p = q0[keep], p[keep]
+    change = np.flatnonzero(p[1:] != p[:-1]) + 1  # runs that open a new price
+    b, price = q0[change], p[np.concatenate(([0], change))]  # the merged runs' inner edges and prices
+    qs = np.concatenate(([0.0], np.repeat(b, 2), [1.0]))
+    values = np.empty_like(qs)
+    values[0], values[-1] = 0.0, price[-1]
+    values[1:-1:2], values[2:-1:2] = b * price[:-1], b * price[1:]
+    return PiecewiseLinearCurve(qs, values)
 
 
-def price_left_of_runs(runs: Sequence[tuple[float, float, float]], q: float) -> float:
-    """Price just below quantile q in a run list (run price at q=0)."""
-    if q <= runs[0][0]:
-        return runs[0][2]
-    for q0, q1, p in runs:
-        if q0 < q <= q1:
-            return p
-    raise ValueError(f"quantile {q} not covered by runs")
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def price_left_of_runs(runs: PriceRuns, q):
+    """Price just below quantile q (or each of an array of them); the
+    first run's price at q=0."""
+    q = np.asarray(q, dtype=float)
+    if (q > runs.edges[-1]).any():
+        raise ValueError(f"quantile {q} not covered by runs")
+    i = np.searchsorted(runs.edges, q, side="left") - 1  # last run starting below q
+    return runs.prices[np.maximum(i, 0)]
 
 
 def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
@@ -213,25 +207,34 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     Jump curves contribute both one-sided limit vertices, so the hull
     majorizes the curve everywhere, including at discontinuities.
     """
-    # Collapse duplicate-q vertices to their max; the lower one is never
-    # on the upper hull.
-    pts: list[tuple[float, float]] = []
-    for q, v in curve.vertices:
-        if pts and pts[-1][0] == q:
-            if v > pts[-1][1]:
-                pts[-1] = (q, v)
+    # Collapse each jump pair to its higher vertex (the first one on a
+    # tie); the lower one is never on the upper hull.
+    qs, vs = curve.qs, curve.values.copy()
+    dup = np.flatnonzero(qs[1:] == qs[:-1])
+    vs[dup] = np.where(vs[dup + 1] > vs[dup], vs[dup + 1], vs[dup])
+    keep = np.ones(len(qs), dtype=bool)
+    keep[dup + 1] = False
+    # Monotone chain: pop the last hull point a while it lies on or below
+    # the chord from the one before it, o, to the new point.  The hull is
+    # the lists sq, sv followed by o and a, which live in locals.
+    points = zip(qs[keep].tolist(), vs[keep].tolist())
+    (oq, ov), (aq, av) = next(points), next(points)
+    sq, sv = [], []
+    for q, v in points:
+        while (aq - oq) * (v - ov) - (av - ov) * (q - oq) >= 0.0:
+            if not sq:
+                break  # a is popped and o alone remains
+            aq, av, oq, ov = oq, ov, sq.pop(), sv.pop()
         else:
-            pts.append((q, v))
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
-            hull.pop()
-        hull.append(p)
-    return PiecewiseLinearCurve(tuple(hull))
+            sq.append(oq)
+            sv.append(ov)
+            oq, ov = aq, av
+        aq, av = q, v
+    return PiecewiseLinearCurve(np.array(sq + [oq, aq]), np.array(sv + [ov, av]))
 
 
 def _default_tol(hull: PiecewiseLinearCurve) -> float:
-    scale = hull.max_value()
+    scale = float(hull.values.max())
     return 1e-9 * (scale if scale > 0.0 else 1.0)
 
 
@@ -248,28 +251,25 @@ def difference_intervals(
     """
     if tol is None:
         tol = _default_tol(hull)
-    grid = sorted(set(curve.breakpoints()) | set(hull.breakpoints()))
-    pieces: list[tuple[float, float]] = []  # differing elementary pieces
-    for q0, q1 in zip(grid, grid[1:]):
-        mid = 0.5 * (q0 + q1)
-        if hull.evaluate(mid) - curve.evaluate(mid) > tol:
-            pieces.append((q0, q1))
-    out: list[tuple[float, float]] = []
-    for a, b in pieces:
-        if out and out[-1][1] == a and hull.evaluate(a) - curve.upper_value(a) > tol:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return QuantileIntervalSet(tuple(out))
+    grid = np.unique(np.concatenate((curve.qs, hull.qs)))
+    inner = grid[1:-1]
+    n = len(grid) - 1
+    # hull and curve at every piece midpoint, then at every inner grid point
+    probe = np.concatenate((0.5 * (grid[:-1] + grid[1:]), inner))
+    hull_at = hull.evaluate(probe)
+    above = hull_at - curve.evaluate(probe) > tol
+    differs = above[:n]
+    # a differing piece extends the interval of the one before it unless
+    # the hull touches a one-sided limit of the curve where they meet
+    joins = differs[:-1] & differs[1:] & above[n:] & (hull_at[n:] - curve.left_value(inner) > tol)
+    lo = grid[:-1][differs & ~np.concatenate(([False], joins))]
+    hi = grid[1:][differs & ~np.concatenate((joins, [False]))]
+    return QuantileIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
 
 
 def argmax_quantile(curve: PiecewiseLinearCurve) -> float:
     """Smallest q whose vertex attains the maximum value."""
-    best_q, best_v = curve.vertices[0]
-    for q, v in curve.vertices[1:]:
-        if v > best_v:
-            best_q, best_v = q, v
-    return best_q
+    return float(curve.qs[np.argmax(curve.values)])
 
 
 def induce_curve(
@@ -317,18 +317,16 @@ def induce_curve(
         if src[i][0] >= pos:
             emit(*src[i])
         i += 1
-    ironed = PiecewiseLinearCurve(tuple(verts))
+    ironed = PiecewiseLinearCurve.from_vertices(verts)
     if reserve_q >= 1.0:
         return ironed
     plateau = ironed.upper_value(reserve_q)
     out: list[tuple[float, float]] = [v for v in ironed.vertices if v[0] < reserve_q]
-    if not out:
-        out = []
     out.append((reserve_q, plateau))
     out.append((1.0, plateau))
     if out[0][0] != 0.0:
         out.insert(0, (0.0, ironed.evaluate(0.0)))
-    return PiecewiseLinearCurve(tuple(out))
+    return PiecewiseLinearCurve.from_vertices(out)
 
 
 def optimal_induced(curve: PiecewiseLinearCurve, tol: float | None = None) -> PiecewiseLinearCurve:
@@ -343,8 +341,5 @@ def optimal_induced(curve: PiecewiseLinearCurve, tol: float | None = None) -> Pi
 
 def pointwise_gap(a: PiecewiseLinearCurve, b: PiecewiseLinearCurve) -> float:
     """sup of a - b over [0, 1], probing both one-sided limits."""
-    grid = sorted(set(a.breakpoints()) | set(b.breakpoints()))
-    gap = -math.inf
-    for q in grid:
-        gap = max(gap, a.evaluate(q) - b.evaluate(q), a.left_value(q) - b.left_value(q))
-    return gap
+    grid = np.union1d(a.qs, b.qs)
+    return float(max(np.max(a.evaluate(grid) - b.evaluate(grid)), np.max(a.left_value(grid) - b.left_value(grid))))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PiecewiseLinearCurve, curve_from_price_runs
+from .curves import PiecewiseLinearCurve, PriceRuns, curve_from_price_runs
+from .environments import _json_list, _json_number, _json_object
 
 __all__ = ["ValueDistribution", "sample", "exact_cdf", "exact_quantile", "tail_probability", "exact_revenue_curve"]
 
@@ -83,12 +84,16 @@ class ValueDistribution:
         if not isinstance(spec, dict):
             raise ValueError("distribution JSON must be an object")
         if spec["type"] == "discrete":
+            atoms = _json_list(spec["atoms"], "atoms", _json_object)
             return ValueDistribution.discrete(
-                [(a["value"], a["prob"]) for a in spec["atoms"]], spec["h_max"]
+                [(_json_number(a["value"], "value"), _json_number(a["prob"], "prob")) for a in atoms],
+                _json_number(spec["h_max"], "h_max"),
             )
         if spec["type"] == "uniform_mixture":
+            comps = _json_list(spec["components"], "components", _json_object)
             return ValueDistribution.uniform_mixture(
-                [(c["lo"], c["hi"], c["weight"]) for c in spec["components"]], spec["h_max"]
+                [tuple(_json_number(c[k], k) for k in ("lo", "hi", "weight")) for c in comps],
+                _json_number(spec["h_max"], "h_max"),
             )
         raise ValueError(f"unknown distribution type {spec['type']!r}")
 
@@ -210,20 +215,15 @@ def exact_quantile(dist: ValueDistribution, p: float) -> float:
     return edges[-1]
 
 
-def _discrete_price_runs(dist: ValueDistribution) -> list[tuple[float, float, float]]:
+def _discrete_price_runs(dist: ValueDistribution) -> PriceRuns:
     """Constant-price runs of q -> F_inverse(1 - q) in quantile space.
 
     Posting atom v_j sells with probability tail(v_j); the run for v_j
-    covers quantiles (tail(v_{j+1}), tail(v_j)].
+    covers quantiles (tail(v_{j+1}), tail(v_j)], high values first.  A
+    zero-probability atom keeps its empty run.
     """
     tails = _discrete_tails(dist)
-    vals = [v for v, _ in dist.atoms]
-    runs: list[tuple[float, float, float]] = []
-    prev_q = 0.0
-    for j in range(len(vals) - 1, -1, -1):  # high to low value
-        runs.append((prev_q, tails[j], vals[j]))
-        prev_q = tails[j]
-    return runs
+    return PriceRuns(np.array([0.0, *tails[::-1]]), np.array([v for v, _ in reversed(dist.atoms)]))
 
 
 def exact_revenue_curve(dist: ValueDistribution, grid_points: int = 10_000) -> PiecewiseLinearCurve:
@@ -235,6 +235,5 @@ def exact_revenue_curve(dist: ValueDistribution, grid_points: int = 10_000) -> P
     if dist.is_discrete:
         return curve_from_price_runs(_discrete_price_runs(dist))
     qs = np.linspace(0.0, 1.0, grid_points + 1)
-    verts = [(0.0, 0.0)]
-    verts += [(float(q), float(q) * exact_quantile(dist, 1.0 - float(q))) for q in qs[1:]]
-    return PiecewiseLinearCurve(tuple(verts))
+    values = [0.0] + [q * exact_quantile(dist, 1.0 - q) for q in qs[1:].tolist()]
+    return PiecewiseLinearCurve(qs, np.array(values))

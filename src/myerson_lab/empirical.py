@@ -2,45 +2,58 @@
 
 The quantile estimator maps x to the ceil(x*m)-th order statistic
 (clamped to the first one near zero, to 0 below the domain and to the
-bound H above it).  Shifting its argument by the uniform-deviation
-radius epsilon produces a pessimistic and an optimistic revenue curve
-that bracket the true one with high probability.
+bound H above it).  ``EmpiricalQuantile`` keeps the sorted samples as an
+array, with the distinct values and their counts: the estimator is
+constant on each value's block of order statistics.  Shifted by the
+uniform-deviation radius epsilon, those blocks become the ``PriceRuns``
+of a pessimistic and an optimistic revenue curve that bracket the true
+one with high probability.  After the sort, all of it is linear in the
+number of distinct values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PiecewiseLinearCurve, curve_from_price_runs
+from .curves import PiecewiseLinearCurve, PriceRuns, curve_from_price_runs
 
-__all__ = ["EmpiricalQuantile", "dkw_epsilon", "eval_quantile", "r_min_curve", "r_max_curve"]
+__all__ = ["EmpiricalQuantile", "dkw_epsilon", "r_min_curve", "r_max_curve"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalQuantile:
-    """Sorted sample values with a known support bound."""
+    """Sorted samples with a known support bound.
 
-    sorted_samples: tuple[float, ...]
+    ``values`` are the distinct samples, ascending, and ``counts`` their
+    multiplicities (what ``np.unique`` gives, read off the sorted array).
+    """
+
+    sorted_samples: np.ndarray
     h_max: float
+    values: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.sorted_samples) < 1:
-            raise ValueError("need at least one sample")
-        prev = -math.inf
-        for x in self.sorted_samples:
-            if not 0.0 <= x <= self.h_max:
-                raise ValueError(f"sample {x} outside [0, {self.h_max}]")
-            if x < prev:
-                raise ValueError("samples must be sorted ascending")
-            prev = x
+        xs = np.array(self.sorted_samples, dtype=float)
+        if xs.ndim != 1 or len(xs) < 1:
+            raise ValueError("need a 1-D array of at least one sample")
+        if not (xs.min() >= 0.0 and xs.max() <= self.h_max):  # NaN fails both
+            outside = xs[~((0.0 <= xs) & (xs <= self.h_max))]
+            raise ValueError(f"sample {outside[0]} outside [0, {self.h_max}]")
+        if (xs[1:] < xs[:-1]).any():
+            raise ValueError("samples must be sorted ascending")
+        starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+        xs.flags.writeable = False
+        object.__setattr__(self, "sorted_samples", xs)
+        object.__setattr__(self, "values", xs[starts])
+        object.__setattr__(self, "counts", np.concatenate((starts[1:], [len(xs)])) - starts)
 
     @staticmethod
     def from_samples(values, h_max: float) -> "EmpiricalQuantile":
-        arr = np.sort(np.asarray(values, dtype=float))
-        return EmpiricalQuantile(tuple(float(x) for x in arr), float(h_max))
+        return EmpiricalQuantile(np.sort(np.asarray(values, dtype=float)), float(h_max))
 
     @property
     def m(self) -> int:
@@ -56,29 +69,13 @@ def dkw_epsilon(m: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
 
 
-def eval_quantile(eq: EmpiricalQuantile, x: float) -> float:
-    """Order-statistic quantile estimate at x, with boundary clamps."""
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return eq.h_max
-    k = max(1, math.ceil(x * eq.m))
-    return eq.sorted_samples[k - 1]
+def _order_stats_above(eq: EmpiricalQuantile) -> np.ndarray:
+    """Order statistics at or above each distinct value, highest value
+    first, then 0: the estimator's block boundaries in index space."""
+    return np.concatenate((np.cumsum(eq.counts)[::-1], [0]))
 
 
-def _merged_order_stat_runs(eq: EmpiricalQuantile) -> list[tuple[int, int, float]]:
-    """(i_lo, i_hi, value) blocks of equal consecutive order statistics."""
-    runs: list[tuple[int, int, float]] = []
-    xs = eq.sorted_samples
-    start = 0
-    for i in range(1, len(xs) + 1):
-        if i == len(xs) or xs[i] != xs[start]:
-            runs.append((start + 1, i, xs[start]))  # 1-based order-stat indices
-            start = i
-    return runs
-
-
-def min_price_runs(eq: EmpiricalQuantile, epsilon: float) -> list[tuple[float, float, float]]:
+def min_price_runs(eq: EmpiricalQuantile, epsilon: float) -> PriceRuns:
     """Constant-price runs of q -> quantile_estimate(1 - q - epsilon).
 
     The i-th order statistic prices quantiles in
@@ -87,23 +84,14 @@ def min_price_runs(eq: EmpiricalQuantile, epsilon: float) -> list[tuple[float, f
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    m = eq.m
-    runs: list[tuple[float, float, float]] = []
-    for i_lo, i_hi, value in reversed(_merged_order_stat_runs(eq)):
-        q0 = 1.0 - epsilon - i_hi / m
-        q1 = 1.0 - epsilon - (i_lo - 1) / m
-        q0, q1 = max(0.0, q0), min(1.0, max(0.0, q1))
-        if q1 > q0:
-            runs.append((q0, q1, value))
-    zero_from = 1.0 - epsilon
-    if zero_from < 1.0:
-        runs.append((max(0.0, zero_from), 1.0, 0.0))
-    if not runs:
-        runs.append((0.0, 1.0, 0.0))
-    return runs
+    edges = np.maximum((1.0 - epsilon) - _order_stats_above(eq) / eq.m, 0.0)
+    prices = eq.values[::-1]
+    if 1.0 - epsilon < 1.0:
+        edges, prices = np.concatenate((edges, [1.0])), np.concatenate((prices, [0.0]))
+    return PriceRuns.nonempty(edges, prices)
 
 
-def max_price_runs(eq: EmpiricalQuantile, epsilon: float) -> list[tuple[float, float, float]]:
+def max_price_runs(eq: EmpiricalQuantile, epsilon: float) -> PriceRuns:
     """Constant-price runs of q -> quantile_estimate(1 - q + epsilon + 1/m).
 
     For q below epsilon + 1/m the argument exceeds one and the estimate
@@ -113,17 +101,9 @@ def max_price_runs(eq: EmpiricalQuantile, epsilon: float) -> list[tuple[float, f
         raise ValueError("epsilon must lie in [0, 1)")
     m = eq.m
     c = epsilon + 1.0 / m
-    runs: list[tuple[float, float, float]] = []
-    if c > 0.0:
-        runs.append((0.0, min(1.0, c), eq.h_max))
-    for i_lo, i_hi, value in reversed(_merged_order_stat_runs(eq)):
-        # written as c + k/m so the block boundaries share exact floats
-        q0 = c + (m - i_hi) / m
-        q1 = c + (m - (i_lo - 1)) / m
-        q0, q1 = max(0.0, min(1.0, q0)), min(1.0, q1)
-        if q1 > q0:
-            runs.append((q0, q1, value))
-    return runs
+    # written as c + k/m so the block boundaries share exact floats
+    edges = np.concatenate(([0.0], np.minimum(c + (m - _order_stats_above(eq)) / m, 1.0)))
+    return PriceRuns.nonempty(edges, np.concatenate(([eq.h_max], eq.values[::-1])))
 
 
 def r_min_curve(eq: EmpiricalQuantile, epsilon: float) -> PiecewiseLinearCurve:

@@ -104,6 +104,26 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_number(value, what: str) -> float:
+    """A number read from JSON; strings, booleans and null are refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_list(value, what: str, item) -> list:
+    """A JSON array, each entry read by ``item(entry, what)``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array, got {value!r}")
+    return [item(v, f"{what} entry") for v in value]
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Environment:
     """What sets of bidders can win simultaneously.
@@ -207,14 +227,14 @@ class Environment:
         if t == "k_unit":
             return Environment.k_unit(_json_int(spec["k"], "k"), n)
         if t == "position":
-            return Environment.position(spec["weights"], n)
+            return Environment.position(_json_list(spec["weights"], "weights", _json_number), n)
         if t == "matroid":
             if spec["kind"] == "uniform":
                 m = MatroidSpec.uniform(_json_int(spec["rank"], "rank"), n)
             else:
                 m = MatroidSpec.partition(
-                    [_json_int(b, "block id") for b in spec["blocks"]],
-                    [_json_int(c, "capacity") for c in spec["capacities"]],
+                    _json_list(spec["blocks"], "blocks", _json_int),
+                    _json_list(spec["capacities"], "capacities", _json_int),
                 )
             return Environment.with_matroid(m, n)
         raise ValueError(f"unknown environment type {t!r}")

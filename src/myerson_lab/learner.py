@@ -15,13 +15,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .curves import (
+    PriceRuns,
     argmax_quantile,
     concave_envelope,
     difference_intervals,
     price_left_of_runs,
 )
 from .empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs
+from .environments import _json_list, _json_number, _json_object
 
 __all__ = [
     "IroningPlan",
@@ -88,8 +92,10 @@ class IroningPlan:
         spec = json.loads(text)
         if not isinstance(spec, dict):
             raise ValueError("plan JSON must be an object")
+        intervals = _json_list(spec.get("intervals", []), "intervals", _json_object)
         return IroningPlan.canonical(
-            [(iv["lo"], iv["hi"]) for iv in spec.get("intervals", [])], spec["reserve"]
+            [(_json_number(iv["lo"], "lo"), _json_number(iv["hi"], "hi")) for iv in intervals],
+            _json_number(spec["reserve"], "reserve"),
         )
 
     def to_json(self) -> str:
@@ -101,27 +107,23 @@ class IroningPlan:
         return hashlib.sha1(self.to_json().encode()).hexdigest()[:12]
 
 
-def plan_from_price_runs(runs, h_max: float) -> IroningPlan:
+def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     """Ironing plan read off a price-run curve q -> q * price(q).
 
     Quantile ironing intervals are the gaps between the curve and its
     concave envelope; endpoints (and the argmax reserve quantile) map to
-    value space through the price level just below each quantile.
+    value space through the price level just below each quantile, all
+    found in one search of the run edges.
     """
     from .curves import curve_from_price_runs
 
     curve = curve_from_price_runs(runs)
     hull = concave_envelope(curve)
     gaps = difference_intervals(curve, hull, tol=1e-9 * h_max)
-    r_q = argmax_quantile(curve)
-    reserve = runs[0][2] if r_q == 0.0 else price_left_of_runs(runs, r_q)
-    value_intervals = []
-    for a, b in gaps:
-        hi = runs[0][2] if a == 0.0 else price_left_of_runs(runs, a)
-        lo = price_left_of_runs(runs, b)
-        if lo < hi:
-            value_intervals.append((lo, hi))
-    return IroningPlan.canonical(value_intervals, reserve)
+    ends = np.array(gaps.intervals, dtype=float).reshape(-1)
+    prices = price_left_of_runs(runs, np.concatenate(([argmax_quantile(curve)], ends))).tolist()
+    reserve, his, los = prices[0], prices[1::2], prices[2::2]
+    return IroningPlan.canonical([(lo, hi) for lo, hi in zip(los, his) if lo < hi], reserve)
 
 
 def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:

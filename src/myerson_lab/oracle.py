@@ -99,11 +99,14 @@ def _profile_payment(env: Environment, plan: IroningPlan, bids: list[float]) -> 
 
 @lru_cache(maxsize=65536)
 def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: IroningPlan) -> RevenueReport:
-    """Exact expected revenue by summing over all valuation profiles."""
+    """Exact expected revenue by summing over all valuation profiles:
+    the s**n ordered ones under a matroid, else the C(s+n-1, n) multisets
+    of exchangeable bidders.  The guard counts the profiles visited."""
     _require_discrete(dist, "expected_revenue_enum")
     s, n = len(dist.atoms), env.n
-    if s**n > _ENUM_GUARD:
-        raise GuardError(f"{s}^{n} profiles exceed the enumeration guard")
+    visits = s**n if env.kind == "matroid" else math.comb(s + n - 1, n)
+    if visits > _ENUM_GUARD:
+        raise GuardError(f"{visits} profiles exceed the enumeration guard")
     vals = [v for v, _ in dist.atoms]
     probs = [p for _, p in dist.atoms]
     terms = []
@@ -232,9 +235,10 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     """
     _require_discrete(dist, "virtual_welfare_bound")
     hull = concave_envelope(exact_revenue_curve(dist))
+    edges = _discrete_price_runs(dist).edges.tolist()
     levels = [
         (q1, max(0.0, (hull.evaluate(q1) - hull.evaluate(q0)) / (q1 - q0)))
-        for q0, q1, _ in _discrete_price_runs(dist)
+        for q0, q1 in zip(edges, edges[1:])
         if q1 > q0
     ]
     terms = []

@@ -117,7 +117,7 @@ def test_exit_codes(workdir):
                    "--plan", "missing.json", "--method", "enum"])
     assert res.returncode == 2
     big_env = workdir / "big.json"
-    big_env.write_text('{"type":"single_item","n":40}')
+    big_env.write_text('{"type":"matroid","kind":"uniform","rank":1,"n":40}')  # 2**40 ordered profiles
     plan = workdir / "p.json"
     plan.write_text('{"reserve": 0.0, "intervals": []}')
     res = run_cli(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env),
@@ -142,8 +142,37 @@ ARRAY = "[1, 2]"
          "n must be an integer, got 2.5"),
         (ARRAY, ["experiment", "loss", "--dist", "d.json", "--env", "e.json", "--m-list", "10", "--trials", "0"],
          "trials must be >= 1, got 0"),
+        ('{"type": "discrete", "h_max": 10, "atoms": [[1, 0.9], [5, 0.1]]}', ["oracle", "--dist", "bad.json", "--env", "e.json"],
+         "atoms entry must be an object, got [1, 0.9]"),
+        ('{"type": "discrete", "h_max": 10, "atoms": {"value": 1, "prob": 1}}', ["oracle", "--dist", "bad.json", "--env", "e.json"],
+         "atoms must be an array, got {'value': 1, 'prob': 1}"),
+        ('{"type": "discrete", "h_max": 10, "atoms": [{"value": "1", "prob": 1}]}', ["oracle", "--dist", "bad.json", "--env", "e.json"],
+         "value must be a number, got '1'"),
+        ('{"type": "uniform_mixture", "h_max": 10, "components": [[0, 10, 1]]}', ["eval", "--dist", "bad.json", "--env", "e.json", "--plan", "p.json", "--method", "mc"],
+         "components entry must be an object, got [0, 10, 1]"),
+        ('{"type": "position", "weights": 0.5, "n": 3}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "weights must be an array, got 0.5"),
+        ('{"type": "position", "weights": [1, null], "n": 3}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "weights entry must be a number, got None"),
+        ('{"type": "matroid", "kind": "partition", "blocks": 5, "capacities": [1], "n": 5}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "blocks must be an array, got 5"),
+        ('{"type": "matroid", "kind": "partition", "blocks": [0, 0], "capacities": 1, "n": 2}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "capacities must be an array, got 1"),
+        ('{"type": "matroid", "kind": "partition", "blocks": [0, "0"], "capacities": [1], "n": 2}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "blocks entry must be an integer, got '0'"),
+        ('{"reserve": 0.5, "intervals": [[1, 2]]}', ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"],
+         "intervals entry must be an object, got [1, 2]"),
+        ('{"reserve": 0.5, "intervals": {"lo": 1, "hi": 2}}', ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"],
+         "intervals must be an array, got {'lo': 1, 'hi': 2}"),
+        ('{"reserve": [0.5], "intervals": []}', ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"],
+         "reserve must be a number, got [0.5]"),
     ],
-    ids=["dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials"],
+    ids=[
+        "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
+        "atoms_arrays", "atoms_object", "atom_value_string", "components_arrays", "weights_scalar",
+        "weights_null_entry", "blocks_scalar", "capacities_scalar", "block_id_string", "intervals_arrays",
+        "intervals_object", "reserve_array",
+    ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):
     (workdir / "bad.json").write_text(bad_json)

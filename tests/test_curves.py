@@ -17,20 +17,21 @@ from myerson_lab.curves import (
     pointwise_gap,
     price_left_of_runs,
 )
+from reference import almost_equal, runs_from_tuples, scalar_evaluate, scalar_left_value
 
 # Exact revenue curve of the {1: 0.9, 5: 0.1} distribution.
-EX2_CURVE = PiecewiseLinearCurve(((0.0, 0.0), (0.1, 0.5), (0.1, 0.1), (1.0, 1.0)))
+EX2_CURVE = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.1, 0.5), (0.1, 0.1), (1.0, 1.0)))
 
 
 def test_evaluate_line():
-    line = PiecewiseLinearCurve(((0.0, 0.0), (1.0, 1.0)))
+    line = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1.0, 1.0)))
     assert line.evaluate(0.3) == pytest.approx(0.3, abs=0)
     assert line.evaluate(0.0) == 0.0
     assert line.evaluate(1.0) == 1.0
 
 
 def test_evaluate_jump_right_limit():
-    jump = PiecewiseLinearCurve(((0.0, 0.0), (0.5, 2.0), (0.5, 1.0), (1.0, 1.0)))
+    jump = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.5, 2.0), (0.5, 1.0), (1.0, 1.0)))
     assert jump.evaluate(0.5) == 1.0
     assert jump.left_value(0.5) == 2.0
     assert jump.upper_value(0.5) == 2.0
@@ -45,7 +46,7 @@ def test_evaluate_example2_exact_curve():
 
 
 def test_evaluate_rejects_out_of_domain():
-    line = PiecewiseLinearCurve(((0.0, 0.0), (1.0, 1.0)))
+    line = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
         line.evaluate(-0.1)
     with pytest.raises(ValueError):
@@ -54,20 +55,21 @@ def test_evaluate_rejects_out_of_domain():
 
 def test_evaluate_many_matches_scalar():
     qs = np.linspace(0, 1, 101)
-    got = EX2_CURVE.evaluate_many(qs)
-    want = [EX2_CURVE.evaluate(float(q)) for q in qs]
-    assert np.allclose(got, want, atol=0)
+    got = EX2_CURVE.evaluate(qs)
+    want = [scalar_evaluate(EX2_CURVE, float(q)) for q in qs]
+    assert got.tolist() == want
+    assert EX2_CURVE.left_value(qs).tolist() == [scalar_left_value(EX2_CURVE, float(q)) for q in qs]
 
 
 def test_vertex_validation():
     with pytest.raises(ValueError):
-        PiecewiseLinearCurve(((0.0, 0.0), (0.5, 1.0)))  # does not reach q=1
+        PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.5, 1.0)))  # does not reach q=1
     with pytest.raises(ValueError):
-        PiecewiseLinearCurve(((0.0, 0.0), (0.5, 1.0), (0.5, 2.0), (0.5, 3.0), (1.0, 0.0)))
+        PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.5, 1.0), (0.5, 2.0), (0.5, 3.0), (1.0, 0.0)))
 
 
 def test_concave_envelope_identity_on_concave_input():
-    tent = PiecewiseLinearCurve(((0.0, 0.0), (0.4, 1.0), (1.0, 0.2)))
+    tent = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.4, 1.0), (1.0, 0.2)))
     assert concave_envelope(tent).vertices == tent.vertices
 
 
@@ -78,7 +80,7 @@ def test_concave_envelope_example2():
 
 def test_concave_envelope_example1():
     h = 10.0
-    curve = PiecewiseLinearCurve(((0.0, 0.0), (1 / h, 1.0), (1 / h, 1 / h), (1.0, 1.0)))
+    curve = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1 / h, 1.0), (1 / h, 1 / h), (1.0, 1.0)))
     hull = concave_envelope(curve)
     assert hull.vertices == ((0.0, 0.0), (1 / h, 1.0), (1.0, 1.0))
 
@@ -89,7 +91,7 @@ def test_concave_envelope_idempotent_and_majorizes():
         qs = np.sort(rng.uniform(0, 1, size=6))
         verts = [(0.0, 0.0)] + [(float(q), float(v)) for q, v in zip(qs, rng.uniform(0, 3, 6))]
         verts.append((1.0, float(rng.uniform(0, 3))))
-        curve = PiecewiseLinearCurve(tuple(verts))
+        curve = PiecewiseLinearCurve.from_vertices(tuple(verts))
         hull = concave_envelope(curve)
         assert concave_envelope(hull).vertices == hull.vertices
         slopes = [
@@ -102,7 +104,7 @@ def test_concave_envelope_idempotent_and_majorizes():
 
 
 def test_difference_intervals_concave_input_empty():
-    tent = PiecewiseLinearCurve(((0.0, 0.0), (0.4, 1.0), (1.0, 0.2)))
+    tent = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.4, 1.0), (1.0, 0.2)))
     assert len(difference_intervals(tent, concave_envelope(tent))) == 0
 
 
@@ -114,7 +116,7 @@ def test_difference_intervals_example2():
 
 def test_difference_intervals_example1():
     h = 10.0
-    curve = PiecewiseLinearCurve(((0.0, 0.0), (1 / h, 1.0), (1 / h, 1 / h), (1.0, 1.0)))
+    curve = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1 / h, 1.0), (1 / h, 1 / h), (1.0, 1.0)))
     gaps = difference_intervals(curve, concave_envelope(curve))
     assert gaps.intervals == ((1 / h, 1.0),)
 
@@ -132,10 +134,10 @@ def test_hull_equals_curve_outside_difference_intervals():
                 break
         if q < 1.0:
             runs.append((q, 1.0, runs[-1][2] * 0.5))
-        curve = curve_from_price_runs(runs)
+        curve = curve_from_price_runs(runs_from_tuples(runs))
         hull = concave_envelope(curve)
         gaps = difference_intervals(curve, hull)
-        jumps = {qv for qv in curve.qs if curve.qs.count(qv) == 2}
+        jumps = {qv for qv in curve.qs.tolist() if curve.qs.tolist().count(qv) == 2}
         for q_test in np.linspace(0.001, 0.999, 229):
             inside = any(a <= q_test <= b for a, b in gaps)
             near_jump = any(abs(q_test - j) < 1e-9 for j in jumps)
@@ -144,24 +146,24 @@ def test_hull_equals_curve_outside_difference_intervals():
 
 
 def test_argmax_quantile_cases():
-    line = PiecewiseLinearCurve(((0.0, 0.0), (1.0, 1.0)))
+    line = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1.0, 1.0)))
     assert argmax_quantile(line) == 1.0
-    tent = PiecewiseLinearCurve(((0.0, 0.0), (0.4, 1.0), (1.0, 0.2)))
+    tent = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (0.4, 1.0), (1.0, 0.2)))
     assert argmax_quantile(tent) == 0.4
-    const = PiecewiseLinearCurve(((0.0, 0.5), (1.0, 0.5)))
+    const = PiecewiseLinearCurve.from_vertices(((0.0, 0.5), (1.0, 0.5)))
     assert argmax_quantile(const) == 0.0
 
 
 def test_induce_curve_identity():
     got = induce_curve(EX2_CURVE, QuantileIntervalSet(()), 1.0)
-    assert got.almost_equal(EX2_CURVE)
+    assert almost_equal(got, EX2_CURVE)
 
 
 def test_induce_curve_example2_chord():
     got = induce_curve(EX2_CURVE, [(0.1, 1.0)], 1.0)
     assert got.evaluate(0.55) == pytest.approx(0.75, abs=1e-12)
     assert got.evaluate(0.1) == pytest.approx(0.5, abs=1e-12)
-    assert got.almost_equal(concave_envelope(EX2_CURVE), tol=1e-12)
+    assert almost_equal(got, concave_envelope(EX2_CURVE), tol=1e-12)
 
 
 def test_induce_curve_zero_reserve():
@@ -177,7 +179,7 @@ def test_optimal_induced_equals_hull_then_plateau():
         qs = np.sort(rng.uniform(0.05, 0.95, size=4))
         bounds = [0.0, *map(float, qs), 1.0]
         runs = [(bounds[i], bounds[i + 1], float(prices[i])) for i in range(5)]
-        curve = curve_from_price_runs(runs)
+        curve = curve_from_price_runs(runs_from_tuples(runs))
         hull = concave_envelope(curve)
         star = optimal_induced(curve)
         r_q = argmax_quantile(curve)
@@ -196,8 +198,8 @@ def test_monotone_curve_dominance_is_preserved():
         qs = [0.0, *sorted(float(q) for q in rng.uniform(0, 1, size=5)), 1.0]
         base_vals = [0.0, *[float(v) for v in rng.uniform(0, 4, size=5)], float(rng.uniform(0, 4))]
         lift = [0.0, *[float(v) for v in rng.uniform(0, 1.5, size=5)], float(rng.uniform(0, 1.5))]
-        lo = PiecewiseLinearCurve(tuple(zip(qs, base_vals)))
-        hi = PiecewiseLinearCurve(tuple(zip(qs, [b + u for b, u in zip(base_vals, lift)])))
+        lo = PiecewiseLinearCurve.from_vertices(tuple(zip(qs, base_vals)))
+        hi = PiecewiseLinearCurve.from_vertices(tuple(zip(qs, [b + u for b, u in zip(base_vals, lift)])))
         hull_lo, hull_hi = concave_envelope(lo), concave_envelope(hi)
         star_lo, star_hi = optimal_induced(lo), optimal_induced(hi)
         for q in np.linspace(0, 1, 101):
@@ -207,14 +209,14 @@ def test_monotone_curve_dominance_is_preserved():
 
 
 def test_pointwise_gap_basic():
-    a = PiecewiseLinearCurve(((0.0, 0.0), (1.0, 1.0)))
+    a = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1.0, 1.0)))
     assert pointwise_gap(a, a) == 0.0
-    b = PiecewiseLinearCurve(((0.0, 0.5), (1.0, 1.5)))
+    b = PiecewiseLinearCurve.from_vertices(((0.0, 0.5), (1.0, 1.5)))
     assert pointwise_gap(b, a) == pytest.approx(0.5, abs=0)
 
 
 def test_price_runs_round_trip():
-    runs = [(0.0, 0.25, 4.0), (0.25, 1.0, 1.0)]
+    runs = runs_from_tuples([(0.0, 0.25, 4.0), (0.25, 1.0, 1.0)])
     curve = curve_from_price_runs(runs)
     assert curve.vertices == ((0.0, 0.0), (0.25, 1.0), (0.25, 0.25), (1.0, 1.0))
     assert price_left_of_runs(runs, 0.25) == 4.0
@@ -230,7 +232,7 @@ def test_price_runs_round_trip():
 def test_induce_curve_is_valid_curve(values, reserve_q):
     qs = np.linspace(0, 1, len(values))
     values[0] = 0.0
-    curve = PiecewiseLinearCurve(tuple((float(q), float(v)) for q, v in zip(qs, values)))
+    curve = PiecewiseLinearCurve.from_vertices(tuple((float(q), float(v)) for q, v in zip(qs, values)))
     out = induce_curve(curve, [(0.2, 0.5)], reserve_q)
     assert out.vertices[0][0] == 0.0 and out.vertices[-1][0] == 1.0
     assert all(q1 >= q0 for (q0, _), (q1, _) in zip(out.vertices, out.vertices[1:]))

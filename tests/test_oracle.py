@@ -26,6 +26,7 @@ from conftest import (
     random_slot_env,
     rare_high_dist,
 )
+from reference import almost_equal
 
 
 def test_optimal_plan_example2(bimodal_small):
@@ -80,11 +81,30 @@ def test_enum_reserve_above_support_is_zero(bimodal_small):
     assert expected_revenue_enum(bimodal_small, env, plan).expected_revenue == 0.0
 
 
+LAW8 = ValueDistribution.discrete(
+    [(1, 0.30), (2, 0.20), (3, 0.12), (4, 0.08), (6, 0.05), (8, 0.10), (9, 0.10), (10, 0.05)], h_max=10.0
+)
+
+
 def test_enum_guard():
     d = random_discrete(np.random.default_rng(1), max_atoms=4)
-    env = Environment.single_item(30)
+    # a matroid is enumerated over all s**n ordered profiles: 2**30 and more here
+    env = Environment.with_matroid(MatroidSpec.uniform(1, 30), 30)
     with pytest.raises(GuardError):
         expected_revenue_enum(d, env, IroningPlan.empty())
+    # exchangeable bidders over the C(s+n-1, n) multisets: C(47, 40) = 62,891,499
+    with pytest.raises(GuardError):
+        expected_revenue_enum(LAW8, Environment.single_item(40), IroningPlan.empty())
+
+
+def test_enum_guard_counts_the_multisets_it_visits():
+    # 8**8 = 16.8M ordered profiles, but only C(15, 8) = 6435 multisets
+    env = Environment.position([1, 0.6, 0.3], 8)
+    plan = optimal_plan(LAW8)
+    enum = expected_revenue_enum(LAW8, env, plan).expected_revenue
+    quad = expected_revenue_quadrature(LAW8, env, plan).expected_revenue
+    assert quad == pytest.approx(11.433013553726562, rel=1e-12)
+    assert enum == pytest.approx(quad, rel=1e-9)
 
 
 def test_enum_quadrature_agreement_random():
@@ -207,12 +227,12 @@ def test_mc_works_for_matroid_and_continuous():
 
 def test_induced_true_curve_identity(bimodal_small):
     got = induced_true_curve(bimodal_small, IroningPlan.empty())
-    assert got.almost_equal(exact_revenue_curve(bimodal_small))
+    assert almost_equal(got, exact_revenue_curve(bimodal_small))
 
 
 def test_induced_true_curve_example2_hull(bimodal_small):
     got = induced_true_curve(bimodal_small, optimal_plan(bimodal_small))
-    assert got.almost_equal(concave_envelope(exact_revenue_curve(bimodal_small)), tol=1e-12)
+    assert almost_equal(got, concave_envelope(exact_revenue_curve(bimodal_small)), tol=1e-12)
 
 
 def test_induced_true_curve_posted_price(bimodal_small):
@@ -260,7 +280,7 @@ def _unswitched_revenue(d, n, plan):
         {0.0, 1.0}
         | ({reserve_q} if reserve_q < 1.0 else set())
         | {x for ab in q_ints for x in ab}
-        | set(curve.breakpoints())
+        | set(curve.qs.tolist())
     )
     total = 0.0
     for p0, p1 in zip(bps, bps[1:]):
