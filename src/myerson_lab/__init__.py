@@ -29,8 +29,6 @@ from .engine import AuctionOutcome, allocate, ironed_key, myerson_payment, run_a
 from .environments import (
     Environment,
     MatroidSpec,
-    greedy_max_weight,
-    interim_allocation_derivative_kunit,
     interim_allocation_kunit,
     is_independent,
 )

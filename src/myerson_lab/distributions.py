@@ -167,14 +167,15 @@ def _discrete_tails(dist: ValueDistribution) -> list[float]:
     """T[j] = P(V >= v_j) by reverse accumulation, with T[0] pinned to 1.
 
     The same floats serve as run boundaries in the exact revenue curve,
-    so quantile images of atom values land exactly on curve breakpoints.
+    so quantile images of atom values land exactly on curve breakpoints;
+    the clamp at 1 keeps them in order when the sum rounds above 1.
     """
     probs = [p for _, p in dist.atoms]
     tails = [0.0] * len(probs)
     acc = 0.0
     for j in range(len(probs) - 1, -1, -1):
         acc += probs[j]
-        tails[j] = acc
+        tails[j] = min(acc, 1.0)
     tails[0] = 1.0
     return tails
 

@@ -1,9 +1,9 @@
 """Feasibility environments: single item, k units, positions, matroids.
 
 Also holds the closed-form interim allocation of k-unit auctions (the
-probability that a bidder at quantile q is among the k highest of n),
-its derivative, and its antiderivative; the revenue quadrature
-integrates against these.
+probability that a bidder at quantile q is among the k highest of n)
+and its antiderivative; the revenue quadrature integrates against
+these.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ __all__ = [
     "MatroidSpec",
     "Environment",
     "is_independent",
-    "greedy_max_weight",
     "interim_allocation_kunit",
-    "interim_allocation_derivative_kunit",
     "interim_allocation_integral_kunit",
 ]
 
@@ -76,25 +74,6 @@ def is_independent(spec: MatroidSpec, s: Iterable[int]) -> bool:
     for e in members:
         counts[spec.blocks[e]] += 1
     return all(c <= cap for c, cap in zip(counts, spec.capacities))
-
-
-def greedy_max_weight(
-    spec: MatroidSpec, weights: Sequence[float], priority: Sequence[int]
-) -> set[int]:
-    """Greedy independent set, scanning by (weight desc, priority).
-
-    Only positive-weight elements are considered; for matroids the
-    result is a maximum-weight independent set.
-    """
-    if sorted(priority) != list(range(spec.n_elements)):
-        raise ValueError("priority must be a permutation of the bidders")
-    rank_of = {e: r for r, e in enumerate(priority)}
-    order = sorted(range(spec.n_elements), key=lambda e: (-weights[e], rank_of[e]))
-    chosen: set[int] = set()
-    for e in order:
-        if weights[e] > 0.0 and is_independent(spec, chosen | {e}):
-            chosen.add(e)
-    return chosen
 
 
 def _json_int(value, what: str) -> int:
@@ -279,17 +258,6 @@ def interim_allocation_kunit(q: float, k: int, n: int) -> float:
     for i in range(1, k + 1):
         total += _binom(n - 1, i - 1) * q ** (i - 1) * (1.0 - q) ** (n - i)
     return min(1.0, total)
-
-
-def interim_allocation_derivative_kunit(q: float, k: int, n: int) -> float:
-    """Closed-form derivative of the k-unit interim allocation; <= 0."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q outside [0, 1]")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    if k == n:
-        return 0.0
-    return -(n - k) * _binom(n - 1, k - 1) * q ** (k - 1) * (1.0 - q) ** (n - k - 1)
 
 
 def interim_allocation_integral_kunit(x: float, k: int, n: int) -> float:

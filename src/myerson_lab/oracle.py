@@ -1,11 +1,11 @@
 """Ground-truth computations against known discrete distributions.
 
 Three independent revenue oracles back every experiment: exhaustive
-profile enumeration (exact, any environment), closed-form quadrature of
-the induced revenue curve against the k-unit interim allocations of each
-rank block (any environment), and seeded Monte Carlo.  Enumeration and
-quadrature must agree to float precision; that cross-check is the main
-correctness tripwire of the whole artifact.  A fourth figure, the
+enumeration of each rank block's member multisets through the engine,
+closed-form quadrature of the induced revenue curve against each rank
+block's k-unit interim allocations, and seeded Monte Carlo.  Enumeration
+and quadrature must agree to float precision; that cross-check is the
+main correctness tripwire of the whole artifact.  A fourth figure, the
 discrete virtual-welfare bound, caps the revenue of every auction and is
 met by the optimal plan, which checks ``optimal_plan`` itself.
 """
@@ -99,26 +99,28 @@ def _profile_payment(env: Environment, plan: IroningPlan, bids: list[float]) -> 
 
 @lru_cache(maxsize=65536)
 def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: IroningPlan) -> RevenueReport:
-    """Exact expected revenue by summing over all valuation profiles:
-    the s**n ordered ones under a matroid, else the C(s+n-1, n) multisets
-    of exchangeable bidders.  The guard counts the profiles visited."""
+    """Exact expected revenue, summed over the environment's rank blocks.
+
+    A block's payments depend only on its own exchangeable members, so it
+    is enumerated alone, as the position auction of its slots, over the
+    C(s+n_b-1, n_b) multisets of its n_b members; the guard counts those
+    multisets over all blocks."""
     _require_discrete(dist, "expected_revenue_enum")
-    s, n = len(dist.atoms), env.n
-    visits = s**n if env.kind == "matroid" else math.comb(s + n - 1, n)
+    s = len(dist.atoms)
+    # with s >= 2 a block has at least n_b + 1 multisets: refuse huge n before building blocks
+    if s > 1 and env.n >= _ENUM_GUARD:
+        raise GuardError(f"more than {env.n} profiles exceed the enumeration guard")
+    visits = sum(math.comb(s + len(members) - 1, len(members)) for members, _ in env.blocks)
     if visits > _ENUM_GUARD:
         raise GuardError(f"{visits} profiles exceed the enumeration guard")
     vals = [v for v, _ in dist.atoms]
     probs = [p for _, p in dist.atoms]
-    terms = []
-    if env.kind == "matroid":
-        # bidders are not exchangeable under a matroid; enumerate fully
-        for combo in itertools.product(range(s), repeat=n):
-            weight = math.prod(probs[i] for i in combo)
-            if weight == 0.0:
-                continue
-            terms.append(weight * _profile_payment(env, plan, [vals[i] for i in combo]))
-    else:
+    totals = []
+    for _, slots in env.blocks:
+        n = len(slots)
+        block = Environment.position(slots, n)
         fact_n = math.factorial(n)
+        terms = []
         for combo in itertools.combinations_with_replacement(range(s), n):
             counts: dict[int, int] = {}
             for i in combo:
@@ -129,8 +131,9 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
             weight *= math.prod(probs[i] ** c for i, c in counts.items())
             if weight == 0.0:
                 continue
-            terms.append(weight * _profile_payment(env, plan, [vals[i] for i in combo]))
-    return RevenueReport(expected_revenue=math.fsum(terms), method="enumeration")
+            terms.append(weight * _profile_payment(block, plan, [vals[i] for i in combo]))
+        totals.append(math.fsum(terms))
+    return RevenueReport(expected_revenue=math.fsum(totals), method="enumeration")
 
 
 def _per_bidder_quadrature(curve: PiecewiseLinearCurve, k: int, n: int, reserve: float, v_min: float) -> float:
@@ -187,9 +190,6 @@ def expected_revenue_quadrature(
     by the learner or the exact-plan oracle; other plans are refused.
     """
     _require_discrete(dist, "expected_revenue_quadrature")
-    for lo, hi in plan.intervals:
-        if lo < plan.reserve < hi:
-            raise ValueError("reserve inside an ironing interval; canonicalize the plan")
     _check_plan_alignment(dist, plan)
     curve = induced_true_curve(dist, plan)
     v_min = dist.support_min()

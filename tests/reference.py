@@ -1,8 +1,9 @@
 """Reference helpers the tests check the package against.
 
 They are plain, slow, scalar restatements of what the package computes
-with arrays, and they live here because nothing in the package calls
-them.
+with arrays, plus greedy selection on a matroid, the brute force that
+``Environment.blocks`` is checked against.  They live here because
+nothing in the package calls them.
 """
 
 import math
@@ -11,6 +12,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from myerson_lab.curves import PiecewiseLinearCurve, PriceRuns
+from myerson_lab.environments import is_independent
 
 
 def eval_quantile(eq, x: float) -> float:
@@ -208,3 +210,31 @@ def plan_from_triples(runs, h_max: float):
         if lo < hi:
             intervals.append((lo, hi))
     return IroningPlan.canonical(intervals, reserve)
+
+
+def greedy_max_weight(spec, weights, priority) -> set:
+    """Greedy independent set, scanning by (weight desc, priority).
+
+    Only positive-weight elements are considered; for matroids the
+    result is a maximum-weight independent set.
+    """
+    if sorted(priority) != list(range(spec.n_elements)):
+        raise ValueError("priority must be a permutation of the bidders")
+    rank_of = {e: r for r, e in enumerate(priority)}
+    order = sorted(range(spec.n_elements), key=lambda e: (-weights[e], rank_of[e]))
+    chosen: set = set()
+    for e in order:
+        if weights[e] > 0.0 and is_independent(spec, chosen | {e}):
+            chosen.add(e)
+    return chosen
+
+
+def interim_allocation_derivative_kunit(q: float, k: int, n: int) -> float:
+    """Closed-form derivative of the k-unit interim allocation; <= 0."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q outside [0, 1]")
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    if k == n:
+        return 0.0
+    return -(n - k) * math.comb(n - 1, k - 1) * q ** (k - 1) * (1.0 - q) ** (n - k - 1)

@@ -19,8 +19,9 @@ from myerson_lab.curves import (
 )
 from myerson_lab.distributions import ValueDistribution, _discrete_price_runs
 from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, max_price_runs, min_price_runs
+from myerson_lab.environments import Environment
 from myerson_lab.learner import compute_auction
-from myerson_lab.oracle import optimal_plan
+from myerson_lab.oracle import expected_revenue_enum, optimal_plan, virtual_welfare_bound
 
 from conftest import seeded_rng
 from reference import (
@@ -99,19 +100,33 @@ def _law_with_zero_atoms(rng) -> ValueDistribution:
     return ValueDistribution.discrete(atoms, H)
 
 
+def _tail_sum_exceeds_one(dist: ValueDistribution) -> bool:
+    """Whether the float sum of P(V >= v_j), j >= 1, rounds above 1."""
+    acc = 0.0
+    for _, p in reversed(dist.atoms[1:]):
+        acc += p
+        if acc > 1.0:
+            return True
+    return False
+
+
 def test_discrete_stages_and_optimal_plans_match_the_loops():
     rng = seeded_rng(63)
+    env = Environment.single_item(3)
+    rounded_above_one = 0
     for _ in range(300):
         dist = _law_with_zero_atoms(rng)
         want = discrete_price_triples(dist)
-        if any(q1 < q0 for q0, q1, _ in want):
-            # rounding put a tail above the pinned P(V >= v_min) = 1: the
-            # runs do not end at q = 1, which the loops refused as well
-            with pytest.raises(ValueError):
-                optimal_plan(dist)
-            continue
         _check_stages(rng, _discrete_price_runs(dist), want, 1e-9 * H)
-        assert optimal_plan(dist) == plan_from_triples(want, H)
+        plan = optimal_plan(dist)
+        assert plan == plan_from_triples(want, H)
+        if _tail_sum_exceeds_one(dist):
+            # the tails are clamped below the pinned P(V >= v_min) = 1, so
+            # the runs still end at q = 1 and the plan is still optimal
+            rounded_above_one += 1
+            revenue = expected_revenue_enum(dist, env, plan).expected_revenue
+            assert revenue == pytest.approx(virtual_welfare_bound(dist, env), rel=1e-12)
+    assert rounded_above_one > 0
 
 
 @pytest.mark.parametrize(

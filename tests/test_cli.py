@@ -105,6 +105,19 @@ def test_oracle_command(workdir, capsys):
     assert out["plan"]["intervals"] == [{"lo": 1.0, "hi": 5.0}]
 
 
+def test_oracle_on_a_law_whose_tails_round_above_one(workdir, capsys):
+    # the probabilities above the lowest atom sum to 1 + 2e-16 in floats
+    atoms = [(1, 0.0), (4, 0.020813622669301035), (5, 0.0), (8, 0.35030200722788296),
+             (9, 0.30052148070527895), (10, 0.3283628893975372)]
+    dist = workdir / "hair.json"
+    dist.write_text(json.dumps({"type": "discrete", "h_max": 10, "atoms": [{"value": v, "prob": p} for v, p in atoms]}))
+    rc = main(["oracle", "--dist", str(dist), "--env", str(workdir / "e.json")])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["plan"] == {"reserve": 8.0, "intervals": [{"lo": 8.0, "hi": 9.0}, {"lo": 9.0, "hi": 10.0}]}
+    assert out["expected_revenue"] == pytest.approx(9.278904069046327, rel=1e-12)
+
+
 def test_calc_commands(capsys):
     assert main(["calc", "samples", "--eps", "0.2", "--delta", "0.1", "--n", "1", "--h-max", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1349"
@@ -116,13 +129,16 @@ def test_exit_codes(workdir):
     res = run_cli(["eval", "--dist", str(workdir / "d.json"), "--env", str(workdir / "e.json"),
                    "--plan", "missing.json", "--method", "enum"])
     assert res.returncode == 2
-    big_env = workdir / "big.json"
-    big_env.write_text('{"type":"matroid","kind":"uniform","rank":1,"n":40}')  # 2**40 ordered profiles
     plan = workdir / "p.json"
     plan.write_text('{"reserve": 0.0, "intervals": []}')
-    res = run_cli(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env),
-                   "--plan", str(plan), "--method", "enum"])
-    assert res.returncode == 3
+    big_env = workdir / "big.json"
+    # more than 1e9 multisets; the guard refuses before building a block of 1e9 bidders
+    for big in ('{"type":"single_item","n":1000000000}', '{"type":"matroid","kind":"uniform","rank":1,"n":1000000000}'):
+        big_env.write_text(big)
+        res = run_cli(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env),
+                       "--plan", str(plan), "--method", "enum"])
+        assert res.returncode == 3
+        assert "exceed the enumeration guard" in res.stderr
     res = run_cli(["learn", "--samples", "nope.csv"])
     assert res.returncode == 2  # argparse: missing required args
 

@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from myerson_lab.engine import allocate, ironed_key
 from myerson_lab.environments import (
     Environment,
     MatroidSpec,
-    greedy_max_weight,
-    interim_allocation_derivative_kunit,
     interim_allocation_integral_kunit,
     interim_allocation_kunit,
     is_independent,
 )
+from myerson_lab.learner import IroningPlan
+
+from conftest import random_matroid_env
+from reference import greedy_max_weight, interim_allocation_derivative_kunit
 
 
 def brute_force_max_weight(spec, weights):
@@ -185,9 +188,6 @@ def test_matroid_interim_slope_bounded():
     # numerical slope of the Monte Carlo interim allocation stays within
     # n - 1 (plus statistical tolerance) for random small matroids
     rng = np.random.default_rng(15)
-    from myerson_lab.engine import allocate
-    from myerson_lab.learner import IroningPlan
-
     for _ in range(4):
         n = int(rng.integers(3, 5))
         n_blocks = int(rng.integers(1, n))
@@ -254,3 +254,36 @@ def test_blocks_decomposition():
     env = Environment.with_matroid(MatroidSpec.partition([0, 2, 0, 2, 0], [1, 3, 4]), 5)
     assert env.blocks == (((0, 2, 4), (1.0, 0.0, 0.0)), ((1, 3), (1.0, 1.0)))
     assert env.blocks is env.blocks
+
+
+def test_blocks_allocate_as_greedy_selection_over_every_tie_order():
+    # allocate serves each block as its own rank auction; greedy selection
+    # on the whole matroid, averaged over all n! priority orders, must give
+    # the same expected allocation.  A rejected bid weighs 0, which greedy
+    # skips; an accepted one weighs its key + 1, since a bid of 0 at
+    # reserve 0 is accepted with key 0.
+    rng = np.random.default_rng(71)
+    grid = [0.0, 1.0, 2.0, 3.0]
+    tied = ironed = 0
+    for _ in range(300):
+        env = random_matroid_env(rng)
+        bids = [float(b) for b in rng.choice(grid, size=env.n)]
+        reserve = float(rng.choice(grid[:3]))
+        intervals = []
+        if rng.random() < 0.6:
+            lo = float(rng.choice(grid[:3]))
+            intervals.append((lo, float(rng.choice([h for h in grid + [4.0] if h > lo]))))
+        plan = IroningPlan.canonical(intervals, reserve)
+        keys = [ironed_key(b, plan) for b in bids]
+        weights = [0.0 if k is None else k + 1.0 for k in keys]
+        orders = list(itertools.permutations(range(env.n)))
+        served = [0] * env.n
+        for order in orders:
+            for e in greedy_max_weight(env.matroid, weights, order):
+                served[e] += 1
+        want = [c / len(orders) for c in served]
+        assert allocate(env, plan, bids) == pytest.approx(want, abs=1e-12)
+        accepted = [k for k in keys if k is not None]
+        tied += len(set(accepted)) < len(accepted)
+        ironed += bool(plan.intervals)
+    assert tied > 50 and ironed > 50

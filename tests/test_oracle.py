@@ -87,14 +87,13 @@ LAW8 = ValueDistribution.discrete(
 
 
 def test_enum_guard():
-    d = random_discrete(np.random.default_rng(1), max_atoms=4)
-    # a matroid is enumerated over all s**n ordered profiles: 2**30 and more here
-    env = Environment.with_matroid(MatroidSpec.uniform(1, 30), 30)
-    with pytest.raises(GuardError):
-        expected_revenue_enum(d, env, IroningPlan.empty())
-    # exchangeable bidders over the C(s+n-1, n) multisets: C(47, 40) = 62,891,499
-    with pytest.raises(GuardError):
-        expected_revenue_enum(LAW8, Environment.single_item(40), IroningPlan.empty())
+    # each block is enumerated over the C(s+n_b-1, n_b) multisets of its
+    # members: C(47, 40) = 62,891,499 at n = 40, as one matroid block or
+    # ranked; n = 1e9 is refused before a block of 1e9 members is built
+    for n in (40, 10**9):
+        for env in (Environment.with_matroid(MatroidSpec.uniform(1, n), n), Environment.single_item(n)):
+            with pytest.raises(GuardError):
+                expected_revenue_enum(LAW8, env, IroningPlan.empty())
 
 
 def test_enum_guard_counts_the_multisets_it_visits():
@@ -120,8 +119,8 @@ def test_enum_quadrature_agreement_random():
 
 
 def test_enum_quadrature_agreement_matroid():
-    # matroids enumerate ordered profiles through the engine, while
-    # quadrature sums closed-form k-unit integrals over the rank blocks
+    # enumeration prices each rank block's multisets through the engine,
+    # while quadrature sums closed-form k-unit integrals over the blocks
     rng = np.random.default_rng(34)
     envs = [random_matroid_env(rng) for _ in range(40)] + [
         Environment.with_matroid(MatroidSpec.uniform(0, 3), 3),
