@@ -123,16 +123,6 @@ class ValueDistribution:
         probs = np.array([p for _, p in self.atoms])
         return vals, probs, np.cumsum(probs)
 
-    def support_min(self) -> float:
-        if self.is_discrete:
-            return self.atoms[0][0]
-        return min(lo for lo, _, _ in self.components)
-
-    def support_max(self) -> float:
-        if self.is_discrete:
-            return self.atoms[-1][0]
-        return max(hi for _, hi, _ in self.components)
-
 
 def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
     """Draw ``count`` i.i.d. values, deterministically for a given seed."""

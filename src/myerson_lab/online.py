@@ -85,7 +85,6 @@ def run_no_regret(
     T: int,
     delta: float,
     seed,
-    doubling: bool = False,
 ) -> RegretTrace:
     """Simulate T learning rounds; deterministic given the seed.
 
@@ -93,10 +92,6 @@ def run_no_regret(
     the oracle's expected revenue of its plan, not the realized bids, so
     the trace depends on the seed only through the plans it learns: while
     epsilon_t is too wide to reveal any atom, all seeds give ``==`` traces.
-
-    With ``doubling`` the horizon fed to the per-round confidence is the
-    current power-of-two epoch length instead of T (an optional wrapper;
-    the bound accounting still uses T).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -136,8 +131,7 @@ def run_no_regret(
     )
     samples_so_far = np.asarray(bids0, dtype=float)
     for t in range(1, T + 1):
-        horizon = T if not doubling else 2 ** math.ceil(math.log2(max(2, t)))
-        plan = compute_auction(samples_so_far, delta / horizon, h)
+        plan = compute_auction(samples_so_far, delta / T, h)
         bids = sample(dist, n, bid_seeds[t])
         rev_t = plan_revenue(plan)
         loss_t = max(0.0, opt_rev - rev_t)
@@ -148,7 +142,7 @@ def run_no_regret(
             RoundRecord(
                 t=t,
                 m_t=n * t,
-                epsilon_t=dkw_epsilon(n * t, delta / horizon),
+                epsilon_t=dkw_epsilon(n * t, delta / T),
                 plan_hash=plan.short_hash(),
                 expected_round_revenue=rev_t,
                 round_loss=loss_t,

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import PiecewiseLinearCurve, concave_envelope, induce_curve
+from .curves import PiecewiseLinearCurve, concave_envelope
 from .distributions import (
     ValueDistribution,
     _discrete_price_runs,
+    _discrete_tails,
     exact_revenue_curve,
     sample,
-    tail_probability,
 )
 from .engine import interim_payments
 from .environments import (
@@ -74,23 +75,38 @@ def optimal_plan(dist: ValueDistribution) -> IroningPlan:
 
 
 def induced_true_curve(dist: ValueDistribution, plan: IroningPlan) -> PiecewiseLinearCurve:
-    """True revenue curve after applying a plan's ironing and reserve.
+    """True revenue curve of the auction a plan induces.
 
-    Value intervals map to quantile intervals through the sale
-    probability; the curve is constant above the reserve's sale
-    probability.
+    A bid's rank key changes only at the reserve, at interval endpoints
+    and at unironed atoms at or above the reserve; each such price x sits
+    at its posted-price point (P(V >= x), x * P(V >= x)).  Walking down
+    in price from (0, 0): an unironed atom v adds its exact run, from
+    P(V > v) to P(V >= v); an interval [lo, hi) the chord from hi's point
+    to lo's; the reserve r its point and then (1, r * P(V >= r)).  Of
+    three or more vertices at one q only the first (the left limit) and
+    the last (the value) enter the integral, so only they are kept.  The
+    tails are the exact revenue curve's, so points land on its floats.
     """
     _require_discrete(dist, "induced_true_curve")
-    curve = exact_revenue_curve(dist)
-    q_ints = []
-    for lo, hi in plan.intervals:
-        a = tail_probability(dist, hi)
-        b = tail_probability(dist, lo)
-        if a < b:
-            q_ints.append((a, b))
-    q_ints.sort()
-    reserve_q = tail_probability(dist, plan.reserve)
-    return induce_curve(curve, q_ints, reserve_q)
+    vals = [v for v, _ in dist.atoms]
+    tails = _discrete_tails(dist) + [0.0]
+
+    def point(x: float) -> tuple[float, float]:
+        t = tails[bisect_left(vals, x)]
+        return t, x * t
+
+    regions = [(lo, point(hi), point(lo)) for lo, hi in plan.intervals]
+    regions += [
+        (v, (tails[j + 1], v * tails[j + 1]), (tails[j], v * tails[j]))
+        for j, v in enumerate(vals)
+        if v >= plan.reserve and not any(lo <= v < hi for lo, hi in plan.intervals)
+    ]
+    regions.sort(reverse=True)  # the lowest prices v and lo are distinct
+    tail_r, rev_r = point(plan.reserve)
+    verts = [(0.0, 0.0), *(p for _, upper, lower in regions for p in (upper, lower)), (tail_r, rev_r), (1.0, rev_r)]
+    inner = zip(verts, verts[1:], verts[2:])
+    keep = [verts[0], *(b for a, b, c in inner if not a[0] == b[0] == c[0]), verts[-1]]
+    return PiecewiseLinearCurve.from_vertices(keep)
 
 
 def _profile_payment(env: Environment, plan: IroningPlan, bids: list[float]) -> float:
@@ -103,16 +119,16 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
 
     A block's payments depend only on its own exchangeable members, so it
     is enumerated alone, as the position auction of its slots, over the
-    C(s+n_b-1, n_b) multisets of its n_b members; the guard counts those
-    multisets over all blocks."""
+    C(s+n_b-1, n_b) multisets of its n_b members; the guard counts the
+    bids those multisets price, n_b per multiset, over all blocks."""
     _require_discrete(dist, "expected_revenue_enum")
+    # every bidder is priced at least once: refuse huge n before building blocks
+    if env.n > _ENUM_GUARD:
+        raise GuardError(f"{env.n} bidders exceed the enumeration guard")
     s = len(dist.atoms)
-    # with s >= 2 a block has at least n_b + 1 multisets: refuse huge n before building blocks
-    if s > 1 and env.n >= _ENUM_GUARD:
-        raise GuardError(f"more than {env.n} profiles exceed the enumeration guard")
-    visits = sum(math.comb(s + len(members) - 1, len(members)) for members, _ in env.blocks)
+    visits = sum(len(members) * math.comb(s + len(members) - 1, len(members)) for members, _ in env.blocks)
     if visits > _ENUM_GUARD:
-        raise GuardError(f"{visits} profiles exceed the enumeration guard")
+        raise GuardError(f"{visits} bid prices exceed the enumeration guard")
     vals = [v for v, _ in dist.atoms]
     probs = [p for _, p in dist.atoms]
     totals = []
@@ -136,12 +152,11 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     return RevenueReport(expected_revenue=math.fsum(totals), method="enumeration")
 
 
-def _per_bidder_quadrature(curve: PiecewiseLinearCurve, k: int, n: int, reserve: float, v_min: float) -> float:
+def _per_bidder_quadrature(curve: PiecewiseLinearCurve, k: int, n: int) -> float:
     """Exact integral of the induced curve against -y' for one k-unit bidder.
 
-    Integration by parts per linear segment; the boundary term and the
-    below-support floor only matter when the worst-ranked bidder is
-    still served (k = n).
+    Integration by parts per linear segment; the boundary term at q = 1
+    only matters when the worst-ranked bidder is still served (k = n).
     """
     terms = []
     for q0, v0, q1, v1 in curve.segments():
@@ -154,27 +169,7 @@ def _per_bidder_quadrature(curve: PiecewiseLinearCurve, k: int, n: int, reserve:
     total = math.fsum(terms)
     if k == n:
         total += curve.evaluate(1.0)
-        total -= max(0.0, v_min - max(reserve, 0.0))
     return total
-
-
-def _check_plan_alignment(dist: ValueDistribution, plan: IroningPlan) -> None:
-    """Quadrature reads plans through the revenue curve, which only sees
-    sale probabilities; endpoints strictly between atoms change engine
-    thresholds invisibly to the curve, so such plans are refused."""
-    vals = [v for v, _ in dist.atoms]
-    v_min, v_max = vals[0], vals[-1]
-    r = plan.reserve
-    if v_min < r <= v_max and r not in vals:
-        raise ValueError(f"reserve {r} lies strictly between support atoms")
-    for lo, hi in plan.intervals:
-        atoms_in = [a for a in vals if lo <= a < hi]
-        if not atoms_in:
-            continue
-        if lo != atoms_in[0]:
-            raise ValueError(f"interval [{lo}, {hi}) starts below the atoms it irons")
-        if hi <= v_max and hi not in vals:
-            raise ValueError(f"interval [{lo}, {hi}) ends strictly between support atoms")
 
 
 def expected_revenue_quadrature(
@@ -184,20 +179,16 @@ def expected_revenue_quadrature(
 
     Revenue is the sum over the environment's independent rank blocks;
     a block of n_b bidders decomposes into the marginal-weight mixture
-    of k-unit auctions among n_b bidders.  Exact for plans whose
-    interval endpoints and reserve lie on the support (or at/below its
-    minimum, or above its maximum), which holds for every plan produced
-    by the learner or the exact-plan oracle; other plans are refused.
+    of k-unit auctions among n_b bidders, each integrated against the
+    plan's induced curve.  Exact for every plan over a discrete law.
     """
     _require_discrete(dist, "expected_revenue_quadrature")
-    _check_plan_alignment(dist, plan)
     curve = induced_true_curve(dist, plan)
-    v_min = dist.support_min()
     terms = []
     for members, weights in env.blocks:
         n, slots = len(members), weights + (0.0,)
         terms += [
-            (slots[j - 1] - slots[j]) * n * _per_bidder_quadrature(curve, j, n, plan.reserve, v_min)
+            (slots[j - 1] - slots[j]) * n * _per_bidder_quadrature(curve, j, n)
             for j in range(1, n + 1)
             if slots[j - 1] != slots[j]
         ]

@@ -52,6 +52,30 @@ def random_aligned_plan(rng, dist: ValueDistribution) -> IroningPlan:
     return IroningPlan.canonical(intervals, reserve)
 
 
+def random_grid_law(rng, max_atoms=5, h=10.0) -> ValueDistribution:
+    """1 to max_atoms atoms on the integers 0..h, about a third of them
+    with probability 0 (never all of them)."""
+    s = int(rng.integers(1, max_atoms + 1))
+    vals = np.sort(rng.choice(np.arange(0, int(h) + 1), size=s, replace=False)).astype(float)
+    zero = rng.random(s) < 1 / 3
+    if zero.all():
+        zero[int(rng.integers(0, s))] = False
+    pr = np.where(zero, 0.0, rng.dirichlet(np.ones(s)))
+    atoms = list(zip(vals.tolist(), (pr / pr.sum()).tolist()))
+    last = int(np.flatnonzero(~zero)[-1])
+    atoms[last] = (atoms[last][0], atoms[last][1] + (1.0 - math.fsum(p for _, p in atoms)))
+    return ValueDistribution.discrete(atoms, h_max=h)
+
+
+def random_grid_plan(rng, h=10.0) -> IroningPlan:
+    """Canonical plan with up to two intervals and a reserve on the
+    half-integers 0..h: endpoints fall on atoms, between them, or off
+    the support."""
+    grid = np.arange(0, 2 * int(h) + 1) / 2.0
+    intervals = [tuple(np.sort(rng.choice(grid, size=2, replace=False)).tolist()) for _ in range(rng.integers(0, 3))]
+    return IroningPlan.canonical(intervals, float(rng.choice(grid)))
+
+
 def random_slot_env(rng, n_max=5) -> Environment:
     n = int(rng.integers(1, n_max + 1))
     kind = rng.choice(["single", "kunit", "pos"])

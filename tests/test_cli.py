@@ -97,6 +97,23 @@ def test_eval_quad_matches_enum_on_matroids(workdir, capsys):
         assert revenue["quad"] == pytest.approx(revenue["enum"], abs=1e-12)
 
 
+def test_eval_quad_matches_enum_between_atoms(workdir, capsys):
+    # the interval starts below the support and ends between atoms, and
+    # two atoms have probability 0
+    atoms = [(1, 0.459), (4, 0.336), (6, 0), (7, 0), (9, 0.205)]
+    dist = workdir / "z.json"
+    dist.write_text(json.dumps({"type": "discrete", "h_max": 10, "atoms": [{"value": v, "prob": p} for v, p in atoms]}))
+    env = workdir / "six.json"
+    env.write_text('{"type": "single_item", "n": 6}')
+    plan = workdir / "p.json"
+    plan.write_text('{"reserve": 0, "intervals": [{"lo": 0.5, "hi": 4.5}]}')
+    revenue = {}
+    for method in ("enum", "quad"):
+        assert main(["eval", "--dist", str(dist), "--env", str(env), "--plan", str(plan), "--method", method]) == 0
+        revenue[method] = json.loads(capsys.readouterr().out)["expected_revenue"]
+    assert revenue["quad"] == pytest.approx(revenue["enum"], abs=1e-12)
+
+
 def test_oracle_command(workdir, capsys):
     rc = main(["oracle", "--dist", str(workdir / "d.json"), "--env", str(workdir / "e.json")])
     assert rc == 0
@@ -132,8 +149,13 @@ def test_exit_codes(workdir):
     plan = workdir / "p.json"
     plan.write_text('{"reserve": 0.0, "intervals": []}')
     big_env = workdir / "big.json"
-    # more than 1e9 multisets; the guard refuses before building a block of 1e9 bidders
-    for big in ('{"type":"single_item","n":1000000000}', '{"type":"matroid","kind":"uniform","rank":1,"n":1000000000}'):
+    # more than 1e9 multisets; the guard refuses before building a block of 1e9 bidders.
+    # 200,000 bidders make only 200,001 multisets, but of 200,000 bids each
+    for big in (
+        '{"type":"single_item","n":1000000000}',
+        '{"type":"matroid","kind":"uniform","rank":1,"n":1000000000}',
+        '{"type":"single_item","n":200000}',
+    ):
         big_env.write_text(big)
         res = run_cli(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env),
                        "--plan", str(plan), "--method", "enum"])

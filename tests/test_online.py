@@ -89,13 +89,6 @@ def test_regret_bound_values():
     assert regret_bound(100, 0.1, 2, 5.0, gamma=2.0) > regret_bound(100, 0.1, 2, 5.0)
 
 
-def test_doubling_flag_runs(bimodal_small):
-    env = Environment.single_item(3)
-    trace = run_no_regret(bimodal_small, env, T=8, delta=0.1, seed=0, doubling=True)
-    assert len(trace.rows) == 9
-    assert trace == run_no_regret(bimodal_small, env, T=8, delta=0.1, seed=0, doubling=True)
-
-
 def test_csv_lines_schema(bimodal_small):
     env = Environment.single_item(3)
     trace = run_no_regret(bimodal_small, env, T=2, delta=0.1, seed=0)

@@ -22,6 +22,8 @@ from myerson_lab.oracle import (
 from conftest import (
     random_aligned_plan,
     random_discrete,
+    random_grid_law,
+    random_grid_plan,
     random_matroid_env,
     random_slot_env,
     rare_high_dist,
@@ -94,6 +96,13 @@ def test_enum_guard():
         for env in (Environment.with_matroid(MatroidSpec.uniform(1, n), n), Environment.single_item(n)):
             with pytest.raises(GuardError):
                 expected_revenue_enum(LAW8, env, IroningPlan.empty())
+    # the guard counts the n_b bids each multiset prices: 200,001 multisets
+    # of 200,000 bids on two atoms, and one of 1e9 bids on one atom
+    two = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
+    one = ValueDistribution.discrete([(2.0, 1.0)], h_max=2.0)
+    for d, n in ((two, 200_000), (one, 10**9)):
+        with pytest.raises(GuardError):
+            expected_revenue_enum(d, Environment.single_item(n), IroningPlan.empty())
 
 
 def test_enum_guard_counts_the_multisets_it_visits():
@@ -116,6 +125,43 @@ def test_enum_quadrature_agreement_random():
             e = expected_revenue_enum(d, env, plan).expected_revenue
             q = expected_revenue_quadrature(d, env, plan).expected_revenue
             assert abs(e - q) <= 1e-9
+    # any plan: endpoints between atoms, on zero-probability atoms or off
+    # the support, in all five environment kinds
+    rng = np.random.default_rng(35)
+    kinds = set()
+    for i in range(400):
+        d = random_grid_law(rng)
+        env = (random_slot_env, random_matroid_env)[i % 2](rng)
+        kinds.add(env.matroid.kind if env.kind == "matroid" else env.kind)
+        for plan in (random_grid_plan(rng), optimal_plan(d)):
+            e = expected_revenue_enum(d, env, plan).expected_revenue
+            q = expected_revenue_quadrature(d, env, plan).expected_revenue
+            assert q == pytest.approx(e, rel=1e-12, abs=1e-14)
+    assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
+
+
+def test_quadrature_prices_every_endpoint_at_its_posted_price():
+    # an endpoint on a zero-probability atom, or a reserve below the
+    # support with every bidder served, is priced where it is posted
+    zero_atoms = ValueDistribution.discrete([(1, 0.459), (4, 0.336), (6, 0), (7, 0), (9, 0.205)], h_max=10.0)
+    cases = [
+        (zero_atoms, Environment.single_item(6), IroningPlan.canonical([], 6.0), 5.5559836889213905),
+        (
+            ValueDistribution.discrete([(1, 0), (6, 0), (7, 1)], h_max=10.0),
+            Environment.with_matroid(MatroidSpec.uniform(3, 3), 3),
+            IroningPlan.empty(),
+            0.0,
+        ),
+        (
+            ValueDistribution.discrete([(1, 0), (5, 1)], h_max=5.0),
+            Environment.single_item(1),
+            IroningPlan.canonical([(1.0, 5.0)], 0.0),
+            0.0,
+        ),
+    ]
+    for d, env, plan, revenue in cases:
+        assert expected_revenue_enum(d, env, plan).expected_revenue == pytest.approx(revenue, rel=1e-12)
+        assert expected_revenue_quadrature(d, env, plan).expected_revenue == pytest.approx(revenue, rel=1e-12)
 
 
 def test_enum_quadrature_agreement_matroid():
@@ -172,16 +218,6 @@ def test_optimal_plan_meets_virtual_welfare_bound():
     assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
 
 
-def test_quadrature_refuses_misaligned_plans(bimodal_small):
-    env = Environment.single_item(3)
-    with pytest.raises(ValueError):
-        expected_revenue_quadrature(
-            bimodal_small, env, IroningPlan.canonical([(0.2, 5.0)], 0.0)
-        )
-    with pytest.raises(ValueError):
-        expected_revenue_quadrature(bimodal_small, env, IroningPlan.canonical([], 3.0))
-
-
 def test_quadrature_example1_closed_form():
     # independent closed form for the flat-hull law: 2 - 1/H at n=2
     for h in (10.0, 100.0):
@@ -225,8 +261,16 @@ def test_mc_works_for_matroid_and_continuous():
 
 
 def test_induced_true_curve_identity(bimodal_small):
+    # the empty plan keeps every left limit of the law's revenue curve,
+    # but its reserve 0 posts price 0 at q = 1, where the law reads v_min
+    truth = exact_revenue_curve(bimodal_small)
     got = induced_true_curve(bimodal_small, IroningPlan.empty())
-    assert almost_equal(got, exact_revenue_curve(bimodal_small))
+    grid = np.union1d(got.qs, truth.qs)
+    assert np.array_equal(got.left_value(grid), truth.left_value(grid))
+    assert np.array_equal(got.evaluate(grid[:-1]), truth.evaluate(grid[:-1]))
+    assert (got.evaluate(1.0), truth.evaluate(1.0)) == (0.0, 1.0)
+    # a reserve at v_min posts the law's own price there
+    assert almost_equal(induced_true_curve(bimodal_small, IroningPlan.canonical([], 1.0)), truth, tol=0.0)
 
 
 def test_induced_true_curve_example2_hull(bimodal_small):
@@ -302,7 +346,7 @@ def _unswitched_revenue(d, n, plan):
         jump = side_value(q, +1) - side_value(q, -1)
         if jump != 0.0:
             total += -curve.upper_value(q) * jump
-    floor = interim_allocation_kunit(1.0, 1, n) * max(0.0, d.support_min() - max(plan.reserve, 0.0))
+    floor = interim_allocation_kunit(1.0, 1, n) * max(0.0, d.atoms[0][0] - max(plan.reserve, 0.0))
     return n * (total - floor)
 
 
