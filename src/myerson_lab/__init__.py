@@ -26,12 +26,7 @@ from .distributions import (
 )
 from .empirical import EmpiricalQuantile, dkw_epsilon, r_max_curve, r_min_curve
 from .engine import AuctionOutcome, allocate, ironed_key, myerson_payment, run_auction
-from .environments import (
-    Environment,
-    MatroidSpec,
-    interim_allocation_kunit,
-    is_independent,
-)
+from .environments import Environment, MatroidSpec, is_independent
 from .learner import IroningPlan, compute_auction, loss_bound, required_samples_iid
 from .online import RegretTrace, regret_bound, run_no_regret
 from .oracle import (

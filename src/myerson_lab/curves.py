@@ -15,7 +15,7 @@ operate on this representation, in a sort plus linear passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,13 +109,6 @@ class PiecewiseLinearCurve:
         """max of the one-sided limits at q (the attained sup there)."""
         left, right = self.left_value(q), self.evaluate(q)
         return _float_or_array(np.where(right > left, right, left))
-
-    def segments(self) -> Iterable[tuple[float, float, float, float]]:
-        """Yield (q0, v0, q1, v1) for each nondegenerate linear piece."""
-        qs, vs = self.qs.tolist(), self.values.tolist()
-        for q0, v0, q1, v1 in zip(qs, vs, qs[1:], vs[1:]):
-            if q1 > q0:
-                yield q0, v0, q1, v1
 
 
 @dataclass(frozen=True)

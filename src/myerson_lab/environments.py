@@ -1,25 +1,16 @@
-"""Feasibility environments: single item, k units, positions, matroids.
-
-Also holds the closed-form interim allocation of k-unit auctions (the
-probability that a bidder at quantile q is among the k highest of n)
-and its antiderivative; the revenue quadrature integrates against
-these.
-"""
+"""Feasibility environments: single item, k units, positions, matroids."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
     "MatroidSpec",
     "Environment",
     "is_independent",
-    "interim_allocation_kunit",
-    "interim_allocation_integral_kunit",
 ]
 
 
@@ -238,40 +229,3 @@ class Environment:
             }
         )
 
-
-@lru_cache(maxsize=4096)
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
-def interim_allocation_kunit(q: float, k: int, n: int) -> float:
-    """P(a bidder at quantile q is served in a k-unit auction of n).
-
-    Bernstein-basis sum; every term is nonnegative, so evaluation is
-    stable for all q in [0, 1].
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q outside [0, 1]")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    total = 0.0
-    for i in range(1, k + 1):
-        total += _binom(n - 1, i - 1) * q ** (i - 1) * (1.0 - q) ** (n - i)
-    return min(1.0, total)
-
-
-def interim_allocation_integral_kunit(x: float, k: int, n: int) -> float:
-    """Antiderivative: integral from 0 to x of the k-unit allocation.
-
-    Uses the Bernstein integral identity, keeping all summands
-    nonnegative.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x outside [0, 1]")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    total = 0.0
-    for i in range(1, k + 1):
-        for j in range(i, n + 1):
-            total += _binom(n, j) * x**j * (1.0 - x) ** (n - j)
-    return total / n

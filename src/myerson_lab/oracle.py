@@ -1,22 +1,27 @@
 """Ground-truth computations against known discrete distributions.
 
-Three independent revenue oracles back every experiment: exhaustive
-enumeration of each rank block's member multisets through the engine,
-closed-form quadrature of the induced revenue curve against each rank
-block's k-unit interim allocations, and seeded Monte Carlo.  Enumeration
-and quadrature must agree to float precision; that cross-check is the
-main correctness tripwire of the whole artifact.  A fourth figure, the
-discrete virtual-welfare bound, caps the revenue of every auction and is
-met by the optimal plan, which checks ``optimal_plan`` itself.
+Three independent revenue oracles: closed-form quadrature of the plan's
+induced revenue curve against each rank block's interim allocation,
+exhaustive enumeration of each rank block's member multisets through the
+engine, and seeded Monte Carlo.  Quadrature values every plan exactly
+and costs one vectorised pass per block, so the additive loss (and the
+no-regret loop's per-round loss) is priced by it; enumeration stays the
+independent check it must agree with to float precision.  A fourth
+figure, the discrete virtual-welfare bound, caps the revenue of every
+auction and is met by the optimal plan, which checks ``optimal_plan``
+itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .curves import PiecewiseLinearCurve, concave_envelope
 from .distributions import (
@@ -27,11 +32,7 @@ from .distributions import (
     sample,
 )
 from .engine import interim_payments
-from .environments import (
-    Environment,
-    interim_allocation_integral_kunit,
-    interim_allocation_kunit,
-)
+from .environments import Environment
 from .learner import IroningPlan, plan_from_price_runs
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _ENUM_GUARD = 10_000_000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class GuardError(RuntimeError):
@@ -113,6 +115,20 @@ def _profile_payment(env: Environment, plan: IroningPlan, bids: list[float]) -> 
     return math.fsum(interim_payments(env, plan, bids))
 
 
+def _refuse_float_overflow(n: int, parts: int) -> None:
+    """Refuse a block of n members whose largest coefficient n! / prod(c!),
+    over counts c splitting n into ``parts``, does not fit a float.
+
+    The largest coefficient is at the most even split.  lgamma is off by
+    about 1e-13 here, far inside the smallest margin that can occur: a
+    binomial row crosses the float range between n = 1029 (0.23 below it
+    in log) and n = 1030 (0.46 above)."""
+    q, r = divmod(n, parts)
+    log_coeff = math.lgamma(n + 1) - r * math.lgamma(q + 2) - (parts - r) * math.lgamma(q + 1)
+    if log_coeff > _LOG_FLOAT_MAX:
+        raise GuardError(f"a block of {n} bidders has coefficients beyond the float range")
+
+
 @lru_cache(maxsize=65536)
 def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: IroningPlan) -> RevenueReport:
     """Exact expected revenue, summed over the environment's rank blocks.
@@ -120,7 +136,8 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     A block's payments depend only on its own exchangeable members, so it
     is enumerated alone, as the position auction of its slots, over the
     C(s+n_b-1, n_b) multisets of its n_b members; the guard counts the
-    bids those multisets price, n_b per multiset, over all blocks."""
+    bids those multisets price, n_b per multiset, over all blocks, and a
+    block whose multinomial weights overflow a float is refused."""
     _require_discrete(dist, "expected_revenue_enum")
     # every bidder is priced at least once: refuse huge n before building blocks
     if env.n > _ENUM_GUARD:
@@ -129,6 +146,8 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     visits = sum(len(members) * math.comb(s + len(members) - 1, len(members)) for members, _ in env.blocks)
     if visits > _ENUM_GUARD:
         raise GuardError(f"{visits} bid prices exceed the enumeration guard")
+    for members, _ in env.blocks:
+        _refuse_float_overflow(len(members), s)
     vals = [v for v, _ in dist.atoms]
     probs = [p for _, p in dist.atoms]
     totals = []
@@ -152,24 +171,12 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     return RevenueReport(expected_revenue=math.fsum(totals), method="enumeration")
 
 
-def _per_bidder_quadrature(curve: PiecewiseLinearCurve, k: int, n: int) -> float:
-    """Exact integral of the induced curve against -y' for one k-unit bidder.
-
-    Integration by parts per linear segment; the boundary term at q = 1
-    only matters when the worst-ranked bidder is still served (k = n).
-    """
-    terms = []
-    for q0, v0, q1, v1 in curve.segments():
-        slope = (v1 - v0) / (q1 - q0)
-        y0 = interim_allocation_kunit(q0, k, n)
-        y1 = interim_allocation_kunit(q1, k, n)
-        big_y0 = interim_allocation_integral_kunit(q0, k, n)
-        big_y1 = interim_allocation_integral_kunit(q1, k, n)
-        terms.append(v0 * y0 - v1 * y1 + slope * (big_y1 - big_y0))
-    total = math.fsum(terms)
-    if k == n:
-        total += curve.evaluate(1.0)
-    return total
+def _bernstein(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows of the degree-n Bernstein basis C(n, j) x^j (1 - x)^(n - j),
+    j = 0..n, one row per entry of x."""
+    j = np.arange(n + 1)
+    coeffs = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    return coeffs * x[:, None] ** j * (1.0 - x[:, None]) ** (n - j)
 
 
 def expected_revenue_quadrature(
@@ -177,23 +184,37 @@ def expected_revenue_quadrature(
 ) -> RevenueReport:
     """Expected revenue as a revenue-curve integral (no profile sums).
 
-    Revenue is the sum over the environment's independent rank blocks;
-    a block of n_b bidders decomposes into the marginal-weight mixture
-    of k-unit auctions among n_b bidders, each integrated against the
-    plan's induced curve.  Exact for every plan over a discrete law.
+    Revenue is the sum over the environment's independent rank blocks.
+    In a block of n bidders with slot weights w, a member at quantile q
+    takes slot r when exactly r - 1 of the other n - 1 draw lower
+    quantiles, so its interim allocation is the Bernstein sum
+    y(q) = sum_r w_r C(n-1, r-1) q^(r-1) (1-q)^(n-r), with integral
+    Y(x) = (1/n) sum_j C(n, j) x^j (1-x)^(n-j) (w_1 + ... + w_j).  Each
+    member earns the integral of the plan's induced curve R against -y',
+    by parts on every linear piece, plus R(1) y(1); y and Y are evaluated
+    once at all vertices.  Exact for every plan over a discrete law.  A
+    block of 1030 or more members, whose binomial row overflows a float,
+    is refused.
     """
     _require_discrete(dist, "expected_revenue_quadrature")
+    # refuse huge n before building blocks, as enumeration does
+    if env.n > _ENUM_GUARD:
+        raise GuardError(f"{env.n} bidders exceed the quadrature guard")
+    for members, _ in env.blocks:
+        _refuse_float_overflow(len(members), 2)
     curve = induced_true_curve(dist, plan)
-    terms = []
+    qs, vs = curve.qs, curve.values
+    lo = np.flatnonzero(qs[1:] > qs[:-1])  # the nondegenerate pieces, from vertex lo to hi
+    hi = lo + 1
+    slope = (vs[hi] - vs[lo]) / (qs[hi] - qs[lo])
+    totals = []
     for members, weights in env.blocks:
-        n, slots = len(members), weights + (0.0,)
-        terms += [
-            (slots[j - 1] - slots[j]) * n * _per_bidder_quadrature(curve, j, n)
-            for j in range(1, n + 1)
-            if slots[j - 1] != slots[j]
-        ]
-    total = math.fsum(terms)
-    return RevenueReport(expected_revenue=total, method="quadrature")
+        n, w = len(members), np.array(weights)
+        y = _bernstein(qs, n - 1) @ w
+        big_y = _bernstein(qs, n) @ np.concatenate(([0.0], np.cumsum(w))) / n
+        terms = np.append(vs[lo] * y[lo] - vs[hi] * y[hi] + slope * (big_y[hi] - big_y[lo]), vs[-1] * y[-1])
+        totals.append(math.fsum((n * terms).tolist()))
+    return RevenueReport(expected_revenue=math.fsum(totals), method="quadrature")
 
 
 def expected_revenue_mc(
@@ -243,14 +264,14 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
 
 
 def additive_loss(dist: ValueDistribution, env: Environment, learned_plan: IroningPlan) -> float:
-    """Optimal expected revenue minus the plan's, by enumeration.
+    """Optimal expected revenue minus the plan's, both by quadrature.
 
-    Tiny negatives from tie-convention float noise clamp to zero;
-    anything below -1e-9 means an oracle bug and raises.
+    Tiny negatives from float noise clamp to zero; anything below -1e-9
+    means an oracle bug and raises.
     """
     _require_discrete(dist, "additive_loss")
-    opt = expected_revenue_enum(dist, env, optimal_plan(dist)).expected_revenue
-    alg = expected_revenue_enum(dist, env, learned_plan).expected_revenue
+    opt = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
+    alg = expected_revenue_quadrature(dist, env, learned_plan).expected_revenue
     loss = opt - alg
     if loss < -1e-9:
         raise RuntimeError(f"learned plan beats the optimal oracle by {-loss}; oracle bug")

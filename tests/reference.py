@@ -2,12 +2,15 @@
 
 They are plain, slow, scalar restatements of what the package computes
 with arrays, plus greedy selection on a matroid, the brute force that
-``Environment.blocks`` is checked against.  They live here because
+``Environment.blocks`` is checked against, and the k-unit interim
+allocation with its integral and derivative, the k-by-k form of the
+Bernstein mixture that revenue quadrature evaluates per block.  They live here because
 nothing in the package calls them.
 """
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 import numpy as np
 
@@ -238,3 +241,41 @@ def interim_allocation_derivative_kunit(q: float, k: int, n: int) -> float:
     if k == n:
         return 0.0
     return -(n - k) * math.comb(n - 1, k - 1) * q ** (k - 1) * (1.0 - q) ** (n - k - 1)
+
+
+@lru_cache(maxsize=4096)
+def _binom(n: int, k: int) -> int:
+    return math.comb(n, k)
+
+
+def interim_allocation_kunit(q: float, k: int, n: int) -> float:
+    """P(a bidder at quantile q is served in a k-unit auction of n).
+
+    Bernstein-basis sum; every term is nonnegative, so evaluation is
+    stable for all q in [0, 1].
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q outside [0, 1]")
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    total = 0.0
+    for i in range(1, k + 1):
+        total += _binom(n - 1, i - 1) * q ** (i - 1) * (1.0 - q) ** (n - i)
+    return min(1.0, total)
+
+
+def interim_allocation_integral_kunit(x: float, k: int, n: int) -> float:
+    """Antiderivative: integral from 0 to x of the k-unit allocation.
+
+    Uses the Bernstein integral identity, keeping all summands
+    nonnegative.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x outside [0, 1]")
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    total = 0.0
+    for i in range(1, k + 1):
+        for j in range(i, n + 1):
+            total += _binom(n, j) * x**j * (1.0 - x) ** (n - j)
+    return total / n

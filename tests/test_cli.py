@@ -165,6 +165,23 @@ def test_exit_codes(workdir):
     assert res.returncode == 2  # argparse: missing required args
 
 
+def test_eval_exits_3_when_a_block_overflows_a_float(workdir, capsys):
+    # 3000 bidders pass the enumeration guard (9.0e6 priced bids), but
+    # C(3000, 1500) does not fit a float; 1029 bidders still do
+    big_env = workdir / "big.json"
+    big_env.write_text('{"type":"single_item","n":3000}')
+    plan = workdir / "p.json"
+    plan.write_text('{"reserve": 1.0, "intervals": [{"lo": 1.0, "hi": 5.0}]}')
+    for method in ("enum", "quad"):
+        res = run_cli(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env),
+                       "--plan", str(plan), "--method", method])
+        assert res.returncode == 3
+        assert res.stderr == "guard violation: a block of 3000 bidders has coefficients beyond the float range\n"
+    big_env.write_text('{"type":"single_item","n":1029}')
+    assert main(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env), "--plan", str(plan), "--method", "quad"]) == 0
+    assert json.loads(capsys.readouterr().out)["expected_revenue"] == pytest.approx(5.0, abs=1e-12)
+
+
 ARRAY = "[1, 2]"
 
 

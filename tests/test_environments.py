@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from myerson_lab.engine import allocate, ironed_key
-from myerson_lab.environments import (
-    Environment,
-    MatroidSpec,
-    interim_allocation_integral_kunit,
-    interim_allocation_kunit,
-    is_independent,
-)
+from myerson_lab.environments import Environment, MatroidSpec, is_independent
 from myerson_lab.learner import IroningPlan
 
 from conftest import random_matroid_env
-from reference import greedy_max_weight, interim_allocation_derivative_kunit
+from reference import (
+    greedy_max_weight,
+    interim_allocation_derivative_kunit,
+    interim_allocation_integral_kunit,
+    interim_allocation_kunit,
+)
 
 
 def brute_force_max_weight(spec, weights):

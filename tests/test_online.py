@@ -66,6 +66,19 @@ def test_deterministic_given_seed(bimodal_small):
     assert c != a
 
 
+def test_fifty_bidders_beyond_enumeration_reproduce():
+    # enumeration refuses position([1, .6, .3], 50) on this law (2.6e8
+    # multisets); quadrature prices every round
+    law = ValueDistribution.discrete(
+        [(1, 0.30), (2, 0.20), (3, 0.12), (4, 0.08), (6, 0.05), (8, 0.10), (9, 0.10), (10, 0.05)], h_max=10.0
+    )
+    env = Environment.position([1, 0.6, 0.3], 50)
+    a = run_no_regret(law, env, T=30, delta=0.1, seed=5)
+    assert len(a.rows) == 31
+    assert all(row.round_loss >= 0.0 for row in a.rows)
+    assert a == run_no_regret(law, env, T=30, delta=0.1, seed=5)
+
+
 def test_cumulative_loss_within_regret_bound(bimodal_small):
     env = Environment.single_item(3)
     T, delta = 200, 0.1

@@ -6,7 +6,7 @@ import pytest
 from myerson_lab.curves import concave_envelope, pointwise_gap
 from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
 from myerson_lab.engine import interim_payments
-from myerson_lab.environments import Environment, MatroidSpec, interim_allocation_kunit
+from myerson_lab.environments import Environment, MatroidSpec
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.oracle import (
     GuardError,
@@ -28,7 +28,7 @@ from conftest import (
     random_slot_env,
     rare_high_dist,
 )
-from reference import almost_equal
+from reference import almost_equal, interim_allocation_integral_kunit, interim_allocation_kunit
 
 
 def test_optimal_plan_example2(bimodal_small):
@@ -103,6 +103,23 @@ def test_enum_guard():
     for d, n in ((two, 200_000), (one, 10**9)):
         with pytest.raises(GuardError):
             expected_revenue_enum(d, Environment.single_item(n), IroningPlan.empty())
+
+
+def test_oracles_refuse_blocks_whose_coefficients_overflow_a_float():
+    # C(1030, 515) > 1.8e308 > C(1029, 514): both oracles refuse a block of
+    # 1030 before computing on it, and quadrature still values 1029, where
+    # some bidder bids 5 and pays 5 except with probability below 1e-40
+    two = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
+    plan = optimal_plan(two)
+    for n in (1030, 3000):
+        for oracle in (expected_revenue_enum, expected_revenue_quadrature):
+            with pytest.raises(GuardError, match="beyond the float range"):
+                oracle(two, Environment.single_item(n), plan)
+    quad = expected_revenue_quadrature(two, Environment.single_item(1029), plan).expected_revenue
+    assert quad == pytest.approx(5.0, abs=1e-12)
+    # as in enumeration, a block of 1e9 members is refused before it is built
+    with pytest.raises(GuardError, match="exceed the quadrature guard"):
+        expected_revenue_quadrature(two, Environment.single_item(10**9), plan)
 
 
 def test_enum_guard_counts_the_multisets_it_visits():
@@ -294,7 +311,8 @@ def _unswitched_revenue(d, n, plan):
     terminal drop at q=1 nets against the below-support payment floor.
     """
     from myerson_lab.distributions import tail_probability
-    from myerson_lab.environments import interim_allocation_integral_kunit as big_y
+
+    big_y = interim_allocation_integral_kunit
 
     curve = exact_revenue_curve(d)
     reserve_q = tail_probability(d, plan.reserve)
@@ -391,7 +409,35 @@ def test_additive_loss_bounded_by_pointwise_gap(bimodal_small):
         assert loss <= env.n * pointwise_gap(opt_curve, alg_curve) + 1e-9
 
 
+def test_additive_loss_is_the_enumerated_revenue_difference():
+    # learned plans over all five environment kinds: quadrature's loss is
+    # enumeration's, and the tripwire never fires
+    rng = np.random.default_rng(61)
+    kinds = set()
+    for i in range(150):
+        d = random_discrete(rng, max_atoms=5)
+        env = (random_slot_env if i % 2 else random_matroid_env)(rng)
+        kinds.add(env.matroid.kind if env.matroid else env.kind)
+        plan = compute_auction(sample(d, int(rng.integers(5, 500)), np.random.SeedSequence([61, i])), 0.1, d.h_max)
+        opt = expected_revenue_enum(d, env, optimal_plan(d)).expected_revenue
+        alg = expected_revenue_enum(d, env, plan).expected_revenue
+        assert additive_loss(d, env, plan) == pytest.approx(opt - alg, abs=1e-12)
+    assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
+
+
+def test_loss_at_fifty_bidders_beyond_enumeration():
+    env = Environment.position([1, 0.6, 0.3], 50)
+    plan = optimal_plan(LAW8)
+    assert additive_loss(LAW8, env, plan) == 0.0
+    quad = expected_revenue_quadrature(LAW8, env, plan).expected_revenue
+    assert quad == pytest.approx(virtual_welfare_bound(LAW8, env), abs=1e-12)
+    with pytest.raises(GuardError):
+        expected_revenue_enum(LAW8, env, plan)
+
+
 def test_position_decomposition_random():
+    # a block's Bernstein mixture of slot weights equals its j-by-j form,
+    # the marginal-weight sum of k-unit quadratures
     rng = np.random.default_rng(55)
     for _ in range(50):
         d = random_discrete(rng, max_atoms=3)
