@@ -61,10 +61,9 @@ class PiecewiseLinearCurve:
             raise ValueError("curve needs at least two vertices, as two 1-D arrays of one length")
         if qs[0] != 0.0 or qs[-1] != 1.0:
             raise ValueError("curve must span q in [0, 1]")
-        dq = qs[1:] - qs[:-1]
-        if (dq < 0.0).any():
+        if not (qs[1:] - qs[:-1]).min() >= 0.0:  # NaN fails too
             raise ValueError("vertex q coordinates must be nondecreasing")
-        if ((dq[1:] == 0.0) & (dq[:-1] == 0.0)).any():
+        if not (qs[2:] > qs[:-2]).all():  # q rises over every two steps
             raise ValueError("at most two vertices may share a q")
         if not (vs.min() >= -1e-12 and vs.max() < np.inf):  # NaN fails both
             raise ValueError("curve values must be finite and nonnegative")
@@ -80,34 +79,37 @@ class PiecewiseLinearCurve:
         """The (q, value) pairs as floats, built on each access."""
         return tuple(zip(self.qs.tolist(), self.values.tolist()))
 
-    def _at(self, q, side: str):
-        """Vertex i's value where it sits at q, else the interpolation on
-        the piece from vertex k to k + 1 that holds q."""
+    def _limits(self, q):
+        """Left and right limits at q, as arrays: where vertices sit at q,
+        the first one's value from the left and the last one's from the
+        right, else the interpolation on the piece that holds q."""
         q = np.asarray(q, dtype=float)
-        if not ((q >= 0.0) & (q <= 1.0)).all():
-            raise ValueError(f"q={q} outside [0, 1]")
         qs, vs = self.qs, self.values
-        if side == "right":
-            i = k = np.searchsorted(qs, q, side="right") - 1  # last vertex with q_v <= q
-        else:
-            i = np.searchsorted(qs, q, side="left")  # first vertex with q_v >= q
-            k = np.maximum(i - 1, 0)
-        k = np.minimum(k, len(qs) - 2)
-        dq = qs[k + 1] - qs[k]  # zero only where vertex i sits at q
-        t = (q - qs[k]) / np.where(dq > 0.0, dq, 1.0)
-        return _float_or_array(np.where(qs[i] == q, vs[i], vs[k] + t * (vs[k + 1] - vs[k])))
+        lo = qs.searchsorted(q, side="left")  # first vertex at or above q
+        hi = qs.searchsorted(q, side="right") - 1  # last vertex at or below q
+        # no vertex lies at or below q < 0, nor at or above q > 1 (or NaN)
+        if not (hi.min(initial=0) >= 0 and lo.max(initial=0) < len(qs)):
+            raise ValueError(f"q={q} outside [0, 1]")
+        j = np.maximum(lo, 1)  # the piece from vertex j - 1 to j holds q where no vertex sits
+        k = j - 1
+        qk = qs[k]
+        dq = qs[j] - qk
+        t = (q - qk) / (dq + (dq == 0.0))  # dq is zero only where a vertex sits at q
+        inside = vs[k] + t * (vs[j] - vs[k])
+        at = lo <= hi  # a vertex sits at q
+        return np.where(at, vs[lo], inside), np.where(at, vs[hi], inside)
 
     def evaluate(self, q):
         """Value at q; at a jump, the right limit."""
-        return self._at(q, "right")
+        return _float_or_array(self._limits(q)[1])
 
     def left_value(self, q):
         """Limit from the left at q (the value itself at q=0)."""
-        return self._at(q, "left")
+        return _float_or_array(self._limits(q)[0])
 
     def upper_value(self, q):
         """max of the one-sided limits at q (the attained sup there)."""
-        left, right = self.left_value(q), self.evaluate(q)
+        left, right = self._limits(q)
         return _float_or_array(np.where(right > left, right, left))
 
 
@@ -175,7 +177,7 @@ def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
     q0, q1, p = runs.edges[:-1], runs.edges[1:], runs.prices
     keep = q1 > q0
     q0, p = q0[keep], p[keep]
-    change = np.flatnonzero(p[1:] != p[:-1]) + 1  # runs that open a new price
+    change = (p[1:] != p[:-1]).nonzero()[0] + 1  # runs that open a new price
     b, price = q0[change], p[np.concatenate(([0], change))]  # the merged runs' inner edges and prices
     qs = np.concatenate(([0.0], np.repeat(b, 2), [1.0]))
     values = np.empty_like(qs)
@@ -202,15 +204,14 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     """
     # Collapse each jump pair to its higher vertex (the first one on a
     # tie); the lower one is never on the upper hull.
-    qs, vs = curve.qs, curve.values.copy()
-    dup = np.flatnonzero(qs[1:] == qs[:-1])
-    vs[dup] = np.where(vs[dup + 1] > vs[dup], vs[dup + 1], vs[dup])
-    keep = np.ones(len(qs), dtype=bool)
-    keep[dup + 1] = False
+    qs, vs = curve.qs, curve.values
+    pair = qs[1:] == qs[:-1]  # vertex i + 1 sits at vertex i's q
+    top = np.concatenate((np.where(pair & (vs[1:] > vs[:-1]), vs[1:], vs[:-1]), vs[-1:]))
+    first = np.concatenate(([True], ~pair))
     # Monotone chain: pop the last hull point a while it lies on or below
     # the chord from the one before it, o, to the new point.  The hull is
     # the lists sq, sv followed by o and a, which live in locals.
-    points = zip(qs[keep].tolist(), vs[keep].tolist())
+    points = zip(qs[first].tolist(), top[first].tolist())
     (oq, ov), (aq, av) = next(points), next(points)
     sq, sv = [], []
     for q, v in points:
@@ -244,19 +245,23 @@ def difference_intervals(
     """
     if tol is None:
         tol = _default_tol(hull)
-    grid = np.unique(np.concatenate((curve.qs, hull.qs)))
+    grid = np.concatenate((curve.qs, hull.qs))
+    grid.sort()
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     inner = grid[1:-1]
     n = len(grid) - 1
     # hull and curve at every piece midpoint, then at every inner grid point
     probe = np.concatenate((0.5 * (grid[:-1] + grid[1:]), inner))
-    hull_at = hull.evaluate(probe)
-    above = hull_at - curve.evaluate(probe) > tol
+    hull_at = hull._limits(probe)[1]
+    curve_left, curve_at = curve._limits(probe)
+    above = hull_at - curve_at > tol
     differs = above[:n]
     # a differing piece extends the interval of the one before it unless
     # the hull touches a one-sided limit of the curve where they meet
-    joins = differs[:-1] & differs[1:] & above[n:] & (hull_at[n:] - curve.left_value(inner) > tol)
-    lo = grid[:-1][differs & ~np.concatenate(([False], joins))]
-    hi = grid[1:][differs & ~np.concatenate((joins, [False]))]
+    joins = differs[:-1] & differs[1:] & above[n:] & (hull_at[n:] - curve_left[n:] > tol)
+    apart = ~np.concatenate(([False], joins, [False]))  # piece boundaries no interval spans
+    lo = grid[:-1][differs & apart[:-1]]
+    hi = grid[1:][differs & apart[1:]]
     return QuantileIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
 
 

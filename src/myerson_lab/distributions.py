@@ -11,6 +11,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,10 +119,15 @@ class ValueDistribution:
     def is_discrete(self) -> bool:
         return self.kind == "discrete"
 
+    @cached_property
     def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Atom values, probabilities and cumulative probabilities, read-only."""
         vals = np.array([v for v, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
-        return vals, probs, np.cumsum(probs)
+        arrays = vals, probs, np.cumsum(probs)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
@@ -130,7 +136,7 @@ def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     if dist.is_discrete:
-        vals, probs, _ = dist._atom_arrays()
+        vals, probs, _ = dist._atom_arrays
         return rng.choice(vals, size=count, p=probs)
     los = np.array([lo for lo, _, _ in dist.components])
     his = np.array([hi for _, hi, _ in dist.components])
@@ -186,7 +192,7 @@ def exact_quantile(dist: ValueDistribution, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if dist.is_discrete:
-        _, _, cum = dist._atom_arrays()
+        _, _, cum = dist._atom_arrays
         idx = int(np.searchsorted(cum, p, side="left"))
         idx = min(idx, len(dist.atoms) - 1)
         return dist.atoms[idx][0]

@@ -131,10 +131,17 @@ def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
 
     Builds the pessimistic revenue curve from the deviation-shifted
     empirical quantile function and irons where it fails to be concave.
+    ``samples`` is an array of values or an ``EmpiricalQuantile`` with
+    bound ``h_max`` already built from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    eq = EmpiricalQuantile.from_samples(samples, h_max)
+    if isinstance(samples, EmpiricalQuantile):
+        if samples.h_max != h_max:
+            raise ValueError(f"quantile bound {samples.h_max} is not h_max {h_max}")
+        eq = samples
+    else:
+        eq = EmpiricalQuantile.from_samples(samples, h_max)
     eps = dkw_epsilon(eq.m, delta)
     if eps >= 1.0:
         # the shifted estimator clamps to price 0 everywhere: no usable

@@ -1,10 +1,12 @@
 """Repeated auctions that learn from accumulated bids.
 
 Round zero deploys the plain welfare auction (empty plan); every later
-round relearns a plan from all bids seen so far at per-round confidence
-delta/T and deploys it.  Each round draws fresh bids, which join the
-samples, and is charged the expected loss of the deployed plan against
-the optimal plan (not the noisy realized revenue of those bids).  Both
+round learns a plan at per-round confidence delta/T from the empirical
+quantile of all bids seen so far, and deploys it.  That quantile is kept
+as distinct values and counts, and each round's fresh bids are merged
+into it, so a round costs the same at every t on a law with few atoms.
+Each round is charged the expected loss of the deployed plan against the
+optimal plan (not the noisy realized revenue of its bids).  Both
 revenues come from the quadrature oracle, once per distinct plan.
 """
 
@@ -20,7 +22,7 @@ from .distributions import ValueDistribution, sample
 from .engine import run_auction  # noqa: F401
 from .environments import Environment
 from .learner import IroningPlan, compute_auction
-from .empirical import dkw_epsilon
+from .empirical import EmpiricalQuantile, dkw_epsilon
 # expected_revenue_enum is unused here but stays bound: perfbench's traced pass patches it by name
 from .oracle import expected_revenue_enum, expected_revenue_quadrature, optimal_plan  # noqa: F401
 
@@ -102,21 +104,25 @@ def run_no_regret(
     if not dist.is_discrete:
         raise ValueError("loss accounting needs a discrete distribution")
     n, h = env.n, dist.h_max
-    rng_seq = np.random.SeedSequence([int(seed), 0])
-    children = rng_seq.spawn(2 * (T + 1))
-    bid_seeds = children[0::2]
-    opt_rev = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
-    rev_cache: dict[IroningPlan, float] = {}
 
-    def plan_revenue(plan: IroningPlan) -> float:
-        if plan not in rev_cache:
-            rev_cache[plan] = expected_revenue_quadrature(dist, env, plan).expected_revenue
-        return rev_cache[plan]
+    def bids(t: int) -> np.ndarray:
+        """Round t's bids, seeded by spawn child 2t of SeedSequence([seed, 0])
+        (odd children go unused), built alone instead of spawning all
+        2(T + 1) children up front."""
+        return sample(dist, n, np.random.SeedSequence([int(seed), 0], spawn_key=(2 * t,)))
+
+    opt_rev = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
+    plan_cache: dict[IroningPlan, tuple[float, str]] = {}
+
+    def plan_value(plan: IroningPlan) -> tuple[float, str]:
+        """The plan's expected revenue and short hash, computed once per plan."""
+        if plan not in plan_cache:
+            rev = expected_revenue_quadrature(dist, env, plan).expected_revenue
+            plan_cache[plan] = rev, plan.short_hash()
+        return plan_cache[plan]
 
     rows: list[RoundRecord] = []
-    empty = IroningPlan.empty()
-    bids0 = sample(dist, n, bid_seeds[0])
-    rev0 = plan_revenue(empty)
+    rev0, hash0 = plan_value(IroningPlan.empty())
     loss0 = max(0.0, opt_rev - rev0)
     cumulative = loss0
     rows.append(
@@ -124,18 +130,16 @@ def run_no_regret(
             t=0,
             m_t=0,
             epsilon_t=math.inf,
-            plan_hash=empty.short_hash(),
+            plan_hash=hash0,
             expected_round_revenue=rev0,
             round_loss=loss0,
             cumulative_loss=cumulative,
             bound_t=n * h,
         )
     )
-    samples_so_far = np.asarray(bids0, dtype=float)
+    seen = EmpiricalQuantile.from_samples(bids(0), h)
     for t in range(1, T + 1):
-        plan = compute_auction(samples_so_far, delta / T, h)
-        bids = sample(dist, n, bid_seeds[t])
-        rev_t = plan_revenue(plan)
+        rev_t, hash_t = plan_value(compute_auction(seen, delta / T, h))
         loss_t = max(0.0, opt_rev - rev_t)
         if opt_rev - rev_t < -1e-9:
             raise RuntimeError("deployed plan beats the oracle optimum; oracle bug")
@@ -145,14 +149,15 @@ def run_no_regret(
                 t=t,
                 m_t=n * t,
                 epsilon_t=dkw_epsilon(n * t, delta / T),
-                plan_hash=plan.short_hash(),
+                plan_hash=hash_t,
                 expected_round_revenue=rev_t,
                 round_loss=loss_t,
                 cumulative_loss=cumulative,
                 bound_t=3.0 * math.sqrt(math.log(2.0 * T / delta) / (2.0 * n * t)) * n * h,
             )
         )
-        samples_so_far = np.concatenate([samples_so_far, bids])
+        if t < T:  # no round learns from the last round's bids
+            seen = seen.merged(bids(t))
     return RegretTrace(rows=tuple(rows))
 
 

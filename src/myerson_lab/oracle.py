@@ -243,9 +243,18 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     block serves its members' virtual values in sorted order, the r-th
     highest weighted by the r-th slot.  The slopes fall as the quantile
     grows, so the r-th highest value is at least a run's slope exactly
-    when r or more members draw quantiles at most the run's end.
+    when r or more members draw quantiles at most the run's end.  Summed
+    over the slots, that is the chance that exactly c members do, times
+    the weight w_1 + ... + w_c of the first c slots, over c: one binomial
+    row per block and level.  A block of 1030 or more members, whose
+    binomial row overflows a float, is refused.
     """
     _require_discrete(dist, "virtual_welfare_bound")
+    # refuse huge n before building blocks, as quadrature does
+    if env.n > _ENUM_GUARD:
+        raise GuardError(f"{env.n} bidders exceed the virtual-welfare guard")
+    for members, _ in env.blocks:
+        _refuse_float_overflow(len(members), 2)
     hull = concave_envelope(exact_revenue_curve(dist))
     edges = _discrete_price_runs(dist).edges.tolist()
     levels = [
@@ -254,12 +263,12 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
         if q1 > q0
     ]
     terms = []
-    for (q, phi), (_, phi_next) in zip(levels, levels[1:] + [(1.0, 0.0)]):
-        for members, slots in env.blocks:
-            n = len(members)
-            for r, w in enumerate(slots, 1):
-                at_least_r = math.fsum(math.comb(n, c) * q**c * (1.0 - q) ** (n - c) for c in range(r, n + 1))
-                terms.append(w * (phi - phi_next) * at_least_r)
+    for members, slots in env.blocks:
+        n = len(members)
+        filled = [0.0, *itertools.accumulate(slots)]  # filled[c]: weight of the first c slots
+        for (q, phi), (_, phi_next) in zip(levels, levels[1:] + [(1.0, 0.0)]):
+            served = math.fsum(math.comb(n, c) * q**c * (1.0 - q) ** (n - c) * filled[c] for c in range(1, n + 1))
+            terms.append((phi - phi_next) * served)
     return math.fsum(terms)
 
 

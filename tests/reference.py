@@ -4,8 +4,9 @@ They are plain, slow, scalar restatements of what the package computes
 with arrays, plus greedy selection on a matroid, the brute force that
 ``Environment.blocks`` is checked against, and the k-unit interim
 allocation with its integral and derivative, the k-by-k form of the
-Bernstein mixture that revenue quadrature evaluates per block.  They live here because
-nothing in the package calls them.
+Bernstein mixture that revenue quadrature evaluates per block, and the
+no-regret loop that relearns from one growing array of every bid.  They
+live here because nothing in the package calls them.
 """
 
 import math
@@ -15,7 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from myerson_lab.curves import PiecewiseLinearCurve, PriceRuns
+from myerson_lab.distributions import sample
+from myerson_lab.empirical import dkw_epsilon
 from myerson_lab.environments import is_independent
+from myerson_lab.learner import IroningPlan, compute_auction
+from myerson_lab.online import RegretTrace, RoundRecord
+from myerson_lab.oracle import expected_revenue_quadrature, optimal_plan
 
 
 def eval_quantile(eq, x: float) -> float:
@@ -25,7 +31,7 @@ def eval_quantile(eq, x: float) -> float:
     if x > 1.0:
         return eq.h_max
     k = max(1, math.ceil(x * eq.m))
-    return float(eq.sorted_samples[k - 1])
+    return float(np.repeat(eq.values, eq.counts)[k - 1])
 
 
 def scalar_evaluate(curve: PiecewiseLinearCurve, q: float) -> float:
@@ -124,7 +130,7 @@ def _order_stat_blocks(sorted_samples) -> list:
 def min_price_triples(eq, epsilon: float) -> list:
     """(q0, q1, price) runs of q -> quantile_estimate(1 - q - epsilon), one block at a time."""
     m, runs = eq.m, []
-    for i_lo, i_hi, value in reversed(_order_stat_blocks(eq.sorted_samples)):
+    for i_lo, i_hi, value in reversed(_order_stat_blocks(np.repeat(eq.values, eq.counts))):
         q0 = max(0.0, 1.0 - epsilon - i_hi / m)
         q1 = min(1.0, max(0.0, 1.0 - epsilon - (i_lo - 1) / m))
         if q1 > q0:
@@ -139,7 +145,7 @@ def max_price_triples(eq, epsilon: float) -> list:
     m = eq.m
     c = epsilon + 1.0 / m
     runs = [(0.0, min(1.0, c), eq.h_max)]
-    for i_lo, i_hi, value in reversed(_order_stat_blocks(eq.sorted_samples)):
+    for i_lo, i_hi, value in reversed(_order_stat_blocks(np.repeat(eq.values, eq.counts))):
         q0 = max(0.0, min(1.0, c + (m - i_hi) / m))
         q1 = min(1.0, c + (m - (i_lo - 1)) / m)
         if q1 > q0:
@@ -279,3 +285,26 @@ def interim_allocation_integral_kunit(x: float, k: int, n: int) -> float:
         for j in range(i, n + 1):
             total += _binom(n, j) * x**j * (1.0 - x) ** (n - j)
     return total / n
+
+
+def run_no_regret_concatenating(dist, env, T: int, delta: float, seed):
+    """``run_no_regret`` as a loop that keeps every bid: each round joins
+    its bids onto one growing array, and the learner sorts and reduces
+    all of them again the next round."""
+    n, h = env.n, dist.h_max
+    bid_seeds = np.random.SeedSequence([int(seed), 0]).spawn(2 * (T + 1))[0::2]
+    opt_rev = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
+
+    def record(t, m_t, epsilon_t, plan, cumulative, bound_t):
+        rev = expected_revenue_quadrature(dist, env, plan).expected_revenue
+        loss = max(0.0, opt_rev - rev)
+        return RoundRecord(t, m_t, epsilon_t, plan.short_hash(), rev, loss, cumulative + loss, bound_t)
+
+    rows = [record(0, 0, math.inf, IroningPlan.empty(), 0.0, n * h)]
+    samples_so_far = np.asarray(sample(dist, n, bid_seeds[0]), dtype=float)
+    for t in range(1, T + 1):
+        plan = compute_auction(samples_so_far, delta / T, h)
+        bound_t = 3.0 * math.sqrt(math.log(2.0 * T / delta) / (2.0 * n * t)) * n * h
+        rows.append(record(t, n * t, dkw_epsilon(n * t, delta / T), plan, rows[-1].cumulative_loss, bound_t))
+        samples_so_far = np.concatenate([samples_so_far, sample(dist, n, bid_seeds[t])])
+    return RegretTrace(rows=tuple(rows))

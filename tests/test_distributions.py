@@ -43,6 +43,17 @@ def test_sampling_deterministic_given_seed():
     assert list(sample(d, 50, 42)) == list(sample(d, 50, 42))
 
 
+def test_atom_arrays_are_built_once_and_draws_keep_their_bits():
+    d = ValueDistribution.discrete([(1.0, 0.5), (2.5, 0.0), (4.0, 0.3), (9.0, 0.2)], h_max=10.0)
+    vals, probs, cum = d._atom_arrays
+    assert d._atom_arrays[0] is vals
+    assert not (vals.flags.writeable or probs.flags.writeable or cum.flags.writeable)
+    # the draws recorded before the arrays were cached
+    want = [4.0, 1.0, 1.0, 4.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0, 4.0]
+    assert sample(d, 12, 2024).tolist() == want
+    assert sample(d, 12, 2024).tolist() == want
+
+
 def test_sample_count_precondition():
     d = ValueDistribution.discrete([(1.0, 1.0)], h_max=1.0)
     with pytest.raises(ValueError):

@@ -5,8 +5,22 @@ import pytest
 
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import dkw_epsilon
-from myerson_lab.environments import Environment
+from myerson_lab.environments import Environment, MatroidSpec
 from myerson_lab.online import regret_bound, run_no_regret
+from reference import run_no_regret_concatenating
+
+LAW8 = ValueDistribution.discrete(
+    [(1, 0.30), (2, 0.20), (3, 0.12), (4, 0.08), (6, 0.05), (8, 0.10), (9, 0.10), (10, 0.05)], h_max=10.0
+)
+INCREMENTAL_CASES = {
+    "two-atom-single3": (ValueDistribution.discrete([(1, 0.9), (10, 0.1)], h_max=10.0), Environment.single_item(3)),
+    "law8-position6": (LAW8, Environment.position([1, 0.6, 0.3], 6)),
+    "zero-mass-atom-kunit": (
+        ValueDistribution.discrete([(0, 0.2), (2, 0.0), (3, 0.5), (7, 0.3)], h_max=8.0),
+        Environment.k_unit(2, 4),
+    ),
+    "law8-partition": (LAW8, Environment.with_matroid(MatroidSpec.partition([0, 0, 1, 1, 1], [1, 2]), 5)),
+}
 
 
 def test_point_mass_learns_immediately():
@@ -124,3 +138,13 @@ def test_rejects_bad_inputs(bimodal_small):
     cont = ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0)
     with pytest.raises(ValueError):
         run_no_regret(cont, env, T=5, delta=0.1, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", sorted(INCREMENTAL_CASES))
+def test_merging_bids_gives_the_trace_of_relearning_from_all_bids(case, seed):
+    dist, env = INCREMENTAL_CASES[case]
+    trace = run_no_regret(dist, env, T=120, delta=0.1, seed=seed)
+    assert trace == run_no_regret_concatenating(dist, env, T=120, delta=0.1, seed=seed)
+    # the learner replaces the empty plan of round 0, so the comparison reaches it
+    assert len({row.plan_hash for row in trace.rows}) >= 2

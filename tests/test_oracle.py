@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,23 @@ def test_oracles_refuse_blocks_whose_coefficients_overflow_a_float():
     # as in enumeration, a block of 1e9 members is refused before it is built
     with pytest.raises(GuardError, match="exceed the quadrature guard"):
         expected_revenue_quadrature(two, Environment.single_item(10**9), plan)
+
+
+def test_virtual_welfare_bound_at_the_largest_block_a_float_holds():
+    # one binomial row per level: 1029 bidders take well under a second
+    # (summing a fresh tail per zero-padded slot took about 14 s), the
+    # bound is the optimal plan's quadrature, and 1030 bidders are refused
+    two = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
+    env = Environment.single_item(1029)
+    start = time.perf_counter()
+    bound = virtual_welfare_bound(two, env)
+    assert time.perf_counter() - start < 2.0
+    assert bound == pytest.approx(expected_revenue_quadrature(two, env, optimal_plan(two)).expected_revenue, abs=1e-12)
+    for n in (1030, 3000):
+        with pytest.raises(GuardError, match="beyond the float range"):
+            virtual_welfare_bound(two, Environment.single_item(n))
+    with pytest.raises(GuardError, match="exceed the virtual-welfare guard"):
+        virtual_welfare_bound(two, Environment.single_item(10**9))
 
 
 def test_enum_guard_counts_the_multisets_it_visits():
