@@ -25,8 +25,8 @@ from .distributions import (
     tail_probability,
 )
 from .empirical import EmpiricalQuantile, dkw_epsilon, r_max_curve, r_min_curve
-from .engine import AuctionOutcome, allocate, ironed_key, myerson_payment, run_auction
-from .environments import Environment, MatroidSpec, is_independent
+from .engine import AuctionOutcome, allocate, ironed_key, run_auction
+from .environments import Environment, is_independent
 from .learner import IroningPlan, compute_auction, loss_bound, required_samples_iid
 from .online import RegretTrace, regret_bound, run_no_regret
 from .oracle import (

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import ValueDistribution, sample
-from .engine import run_auction, validate_bids
+from .engine import run_auction
 from .environments import Environment
 from .learner import IroningPlan, compute_auction, loss_bound, required_samples_iid
 from .online import TRACE_FIELDS, run_no_regret
@@ -108,7 +108,6 @@ def _cmd_run(args) -> int:
     env = _read_env(args.env)
     plan = _read_plan(args.plan)
     bids = [float(x) for x in Path(args.bids).read_text().replace(",", "\n").split()]
-    validate_bids(bids)
     out = run_auction(env, plan, bids, args.seed)
     print(
         json.dumps(

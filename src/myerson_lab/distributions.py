@@ -42,7 +42,7 @@ class ValueDistribution:
             if not self.atoms:
                 raise ValueError("discrete distribution needs atoms")
             total = math.fsum(p for _, p in self.atoms)
-            if abs(total - 1.0) > _PROB_TOL:
+            if not abs(total - 1.0) <= _PROB_TOL:  # NaN fails too
                 raise ValueError(f"atom probabilities sum to {total}, not 1")
             prev = -math.inf
             for v, p in self.atoms:
@@ -57,7 +57,7 @@ class ValueDistribution:
             if not self.components:
                 raise ValueError("mixture needs components")
             total = math.fsum(w for _, _, w in self.components)
-            if abs(total - 1.0) > _PROB_TOL:
+            if not abs(total - 1.0) <= _PROB_TOL:  # NaN fails too
                 raise ValueError(f"component weights sum to {total}, not 1")
             for lo, hi, w in self.components:
                 if not (0.0 <= lo < hi <= self.h_max):

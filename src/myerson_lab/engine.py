@@ -1,9 +1,10 @@
 """Executing an ironing-plan auction on a bid profile.
 
 Bids below the reserve are rejected; bids inside one ironing interval
-share a rank key.  Every environment is a list of independent rank
+share a rank key.  An environment is its list of independent rank
 auctions (``Environment.blocks``: one block of all bidders, or one per
-part of a partition matroid).  Inside each block, allocation maximizes
+nonempty part of a partition matroid), and the engine reads nothing
+else of it but the bidder count.  Inside each block, allocation maximizes
 welfare over the keys, splitting exact ties symmetrically (fractional
 shares of the contested slots); this is exact for every environment,
 matroids included, with no sampling.
@@ -13,8 +14,8 @@ breakpoints only at the reserve, interval endpoints, and the other
 bidders' keys, so the integral is computed exactly piece by piece.
 All bidders share one sorted breakpoint list per profile, and each
 piece's allocation is read off the bidder's block by bisecting the
-sorted keys of its rivals; ``myerson_payment`` instead re-runs
-``allocate`` at every piece and serves the tests as the reference.
+sorted keys of its rivals.  The tests check this to the bit against a
+reference that re-runs ``allocate`` at every piece.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .environments import Environment, is_independent  # noqa: F401
 from .learner import IroningPlan
 
-__all__ = ["AuctionOutcome", "ironed_key", "allocate", "myerson_payment", "run_auction"]
+__all__ = ["AuctionOutcome", "ironed_key", "allocate", "run_auction"]
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,10 @@ class AuctionOutcome:
         return math.fsum(self.interim_payment)
 
 
-def validate_bids(bids: Sequence[float], h_max: float | None = None) -> None:
+def validate_bids(bids: Sequence[float]) -> None:
     for b in bids:
         if not math.isfinite(b) or b < 0.0:
             raise ValueError(f"bid {b} must be finite and nonnegative")
-        if h_max is not None and b > h_max:
-            raise ValueError(f"bid {b} exceeds h_max {h_max}")
 
 
 def ironed_key(bid: float, plan: IroningPlan) -> float | None:
@@ -93,37 +92,10 @@ def allocate(env: Environment, plan: IroningPlan, bids: Sequence[float]) -> list
     return alloc
 
 
-def myerson_payment(env: Environment, plan: IroningPlan, bids: Sequence[float], bidder: int) -> float:
-    """Threshold-integral payment for one bidder, computed exactly.
-
-    p = b * x(b) - integral of x(z) dz over [0, b], where x(z) is the
-    bidder's allocation when bidding z against the fixed others; x is
-    piecewise constant, so each piece is evaluated at its midpoint by
-    calling ``allocate``.  This is the reference that the faster
-    ``interim_payments`` must match to the bit.
-    """
-    alloc_at_bid = allocate(env, plan, bids)[bidder]
-    if alloc_at_bid == 0.0:
-        return 0.0
-    b_i = bids[bidder]
-    others = [ironed_key(b, plan) for j, b in enumerate(bids) if j != bidder]
-    pts = {0.0, b_i, plan.reserve}
-    for lo, hi in plan.intervals:
-        pts.update((lo, hi))
-    pts.update(k for k in others if k is not None)
-    pts = sorted(p for p in pts if p <= b_i)
-    probe = list(bids)
-    integral = 0.0
-    for z0, z1 in zip(pts, pts[1:]):
-        probe[bidder] = 0.5 * (z0 + z1)
-        integral += allocate(env, plan, probe)[bidder] * (z1 - z0)
-    return b_i * alloc_at_bid - integral
-
-
 def _threshold_payments(
     env: Environment, plan: IroningPlan, bids: Sequence[float], keys: list[float | None], alloc: list[float]
 ) -> list[float]:
-    """Every bidder's ``myerson_payment``, bit for bit, from one key pass.
+    """Every bidder's threshold-integral payment from one key pass.
 
     The breakpoint list {0, reserve, interval endpoints, accepted keys}
     is shared: a bidder's own key is its bid or an interval's lower

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from myerson_lab import Environment, MatroidSpec, ValueDistribution
+from myerson_lab import Environment, ValueDistribution
 from myerson_lab.learner import IroningPlan
 
 
@@ -88,16 +89,19 @@ def random_slot_env(rng, n_max=5) -> Environment:
     return Environment.position(w.tolist(), n)
 
 
+def env_kind(env: Environment) -> str:
+    """The environment's kind, with a matroid's ``uniform`` or ``partition``."""
+    return json.loads(env.to_json()).get("kind", env.kind)
+
+
 def random_matroid_env(rng, n_max=5) -> Environment:
     """Uniform or partition matroid; ranks and capacities may be 0 or
     exceed the number of elements they govern."""
     n = int(rng.integers(1, n_max + 1))
     if rng.random() < 0.5:
-        spec = MatroidSpec.uniform(int(rng.integers(0, n + 2)), n)
-    else:
-        parts = int(rng.integers(1, n + 1))
-        spec = MatroidSpec.partition(
-            [int(rng.integers(0, parts)) for _ in range(n)],
-            [int(rng.integers(0, 4)) for _ in range(parts)],
-        )
-    return Environment.with_matroid(spec, n)
+        return Environment.uniform_matroid(int(rng.integers(0, n + 2)), n)
+    parts = int(rng.integers(1, n + 1))
+    return Environment.partition_matroid(
+        [int(rng.integers(0, parts)) for _ in range(n)],
+        [int(rng.integers(0, 4)) for _ in range(parts)],
+    )

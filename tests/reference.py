@@ -1,14 +1,17 @@
 """Reference helpers the tests check the package against.
 
 They are plain, slow, scalar restatements of what the package computes
-with arrays, plus greedy selection on a matroid, the brute force that
-``Environment.blocks`` is checked against, and the k-unit interim
+with arrays, plus a matroid's independence oracle read from its JSON and
+greedy selection with it, the brute force that ``Environment.blocks`` is
+checked against, the threshold payment that re-runs ``allocate`` on
+every piece of the bid line, and the k-unit interim
 allocation with its integral and derivative, the k-by-k form of the
 Bernstein mixture that revenue quadrature evaluates per block, and the
 no-regret loop that relearns from one growing array of every bid.  They
 live here because nothing in the package calls them.
 """
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -18,7 +21,7 @@ import numpy as np
 from myerson_lab.curves import PiecewiseLinearCurve, PriceRuns
 from myerson_lab.distributions import sample
 from myerson_lab.empirical import dkw_epsilon
-from myerson_lab.environments import is_independent
+from myerson_lab.engine import allocate, ironed_key
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.online import RegretTrace, RoundRecord
 from myerson_lab.oracle import expected_revenue_quadrature, optimal_plan
@@ -221,21 +224,67 @@ def plan_from_triples(runs, h_max: float):
     return IroningPlan.canonical(intervals, reserve)
 
 
-def greedy_max_weight(spec, weights, priority) -> set:
-    """Greedy independent set, scanning by (weight desc, priority).
+def matroid_oracle(env):
+    """Independence test of a uniform or partition matroid environment,
+    read from its JSON (the rank, or the parts and their capacities),
+    not from ``env.blocks``."""
+    spec = json.loads(env.to_json())
+    if spec["kind"] == "uniform":
+        return lambda s: len(set(s)) <= spec["rank"]
+
+    def independent(s) -> bool:
+        counts = [0] * len(spec["capacities"])
+        for e in set(s):
+            counts[spec["blocks"][e]] += 1
+        return all(c <= cap for c, cap in zip(counts, spec["capacities"]))
+
+    return independent
+
+
+def greedy_max_weight(env, weights, priority) -> set:
+    """Greedy independent set of a matroid environment, scanning by
+    (weight desc, priority).
 
     Only positive-weight elements are considered; for matroids the
     result is a maximum-weight independent set.
     """
-    if sorted(priority) != list(range(spec.n_elements)):
+    if sorted(priority) != list(range(env.n)):
         raise ValueError("priority must be a permutation of the bidders")
+    independent = matroid_oracle(env)
     rank_of = {e: r for r, e in enumerate(priority)}
-    order = sorted(range(spec.n_elements), key=lambda e: (-weights[e], rank_of[e]))
+    order = sorted(range(env.n), key=lambda e: (-weights[e], rank_of[e]))
     chosen: set = set()
     for e in order:
-        if weights[e] > 0.0 and is_independent(spec, chosen | {e}):
+        if weights[e] > 0.0 and independent(chosen | {e}):
             chosen.add(e)
     return chosen
+
+
+def myerson_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
+    """Threshold-integral payment for one bidder, computed exactly.
+
+    p = b * x(b) - integral of x(z) dz over [0, b], where x(z) is the
+    bidder's allocation when bidding z against the fixed others; x is
+    piecewise constant, so each piece is evaluated at its midpoint by
+    calling ``allocate``.  This is the reference that the faster
+    ``interim_payments`` must match to the bit.
+    """
+    alloc_at_bid = allocate(env, plan, bids)[bidder]
+    if alloc_at_bid == 0.0:
+        return 0.0
+    b_i = bids[bidder]
+    others = [ironed_key(b, plan) for j, b in enumerate(bids) if j != bidder]
+    pts = {0.0, b_i, plan.reserve}
+    for lo, hi in plan.intervals:
+        pts.update((lo, hi))
+    pts.update(k for k in others if k is not None)
+    pts = sorted(p for p in pts if p <= b_i)
+    probe = list(bids)
+    integral = 0.0
+    for z0, z1 in zip(pts, pts[1:]):
+        probe[bidder] = 0.5 * (z0 + z1)
+        integral += allocate(env, plan, probe)[bidder] * (z1 - z0)
+    return b_i * alloc_at_bid - integral
 
 
 def interim_allocation_derivative_kunit(q: float, k: int, n: int) -> float:

@@ -221,12 +221,27 @@ ARRAY = "[1, 2]"
          "intervals must be an array, got {'lo': 1, 'hi': 2}"),
         ('{"reserve": [0.5], "intervals": []}', ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"],
          "reserve must be a number, got [0.5]"),
+        ('{"type": "matroid", "kind": "graphic", "blocks": [0, 0, 1], "capacities": [1, 1], "n": 3}',
+         ["oracle", "--dist", "d.json", "--env", "bad.json"], "unknown matroid kind 'graphic'"),
+        ('{"type": "position", "weights": [NaN, 0.5], "n": 3}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "weights entry must be finite, got nan"),
+        ('{"type": "position", "weights": [Infinity, 0.5], "n": 3}',
+         ["eval", "--dist", "d.json", "--env", "bad.json", "--plan", "p.json", "--method", "quad"],
+         "weights entry must be finite, got inf"),
+        ('{"type": "position", "weights": [1' + "0" * 400 + '], "n": 3}', ["oracle", "--dist", "d.json", "--env", "bad.json"],
+         "weights entry must be finite, got 1" + "0" * 400),
+        ('{"type": "discrete", "h_max": 10, "atoms": [{"value": 1, "prob": NaN}]}', ["oracle", "--dist", "bad.json", "--env", "e.json"],
+         "prob must be finite, got nan"),
+        ('{"type": "uniform_mixture", "h_max": 10, "components": [{"lo": 0, "hi": 10, "weight": NaN}]}',
+         ["eval", "--dist", "bad.json", "--env", "e.json", "--plan", "p.json", "--method", "mc"],
+         "weight must be finite, got nan"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
         "atoms_arrays", "atoms_object", "atom_value_string", "components_arrays", "weights_scalar",
         "weights_null_entry", "blocks_scalar", "capacities_scalar", "block_id_string", "intervals_arrays",
-        "intervals_object", "reserve_array",
+        "intervals_object", "reserve_array", "matroid_kind_unknown", "weights_nan", "weights_infinity",
+        "weights_beyond_float", "atom_prob_nan", "component_weight_nan",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

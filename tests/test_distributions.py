@@ -170,6 +170,16 @@ def test_validation_rejects_bad_inputs():
         ValueDistribution.uniform_mixture([(1.0, 1.0, 1.0)], h_max=2.0)  # lo == hi
 
 
+def test_validation_rejects_nan_masses():
+    # NaN compares false both ways, so the sum check must fail it
+    with pytest.raises(ValueError):
+        ValueDistribution.discrete([(1.0, math.nan)], h_max=2.0)
+    with pytest.raises(ValueError):
+        ValueDistribution.discrete([(1.0, 0.5), (2.0, math.nan)], h_max=2.0)
+    with pytest.raises(ValueError):
+        ValueDistribution.uniform_mixture([(0.0, 1.0, math.nan)], h_max=2.0)
+
+
 def test_json_round_trip():
     d = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
     assert ValueDistribution.from_json(d.to_json()) == d

@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from myerson_lab.engine import (
-    allocate,
-    interim_payments,
-    ironed_key,
-    myerson_payment,
-    run_auction,
-)
-from myerson_lab.environments import Environment, MatroidSpec
+from myerson_lab.engine import allocate, interim_payments, ironed_key, run_auction
+from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan
 
 from conftest import random_aligned_plan, random_discrete, random_slot_env
+from reference import myerson_payment
 
 EX2_PLAN = IroningPlan(intervals=((1.0, 5.0),), reserve=1.0)
 SINGLE10 = Environment.single_item(10)
@@ -105,7 +100,7 @@ def test_matroid_allocation_expectation_matches_uniform_split():
     # exactly, also for a tie of more than eight bidders
     for k, bids in ((2, [3.0, 3.0, 3.0, 1.0]), (3, [2.0] * 10)):
         n = len(bids)
-        env_m = Environment.with_matroid(MatroidSpec.uniform(k, n), n)
+        env_m = Environment.uniform_matroid(k, n)
         env_k = Environment.k_unit(k, n)
         alloc = allocate(env_m, IroningPlan.empty(), bids)
         assert alloc == allocate(env_k, IroningPlan.empty(), bids)
@@ -114,14 +109,12 @@ def test_matroid_allocation_expectation_matches_uniform_split():
 
 def test_matroid_partition_tie_expectation():
     # two tied bidders share one block; a third has its own block
-    spec = MatroidSpec.partition([0, 0, 1], [1, 1])
-    env = Environment.with_matroid(spec, 3)
+    env = Environment.partition_matroid([0, 0, 1], [1, 1])
     alloc = allocate(env, IroningPlan.empty(), [2.0, 2.0, 2.0])
     assert alloc == [0.5, 0.5, 1.0]
     # a nine-way tie in a capacity-2 part and a two-way tie in a
     # capacity-1 part: each part is its own k-unit auction
-    spec = MatroidSpec.partition([0, 1] + [0] * 7 + [1, 0], [2, 1])
-    env = Environment.with_matroid(spec, 11)
+    env = Environment.partition_matroid([0, 1] + [0] * 7 + [1, 0], [2, 1])
     alloc = allocate(env, IroningPlan.empty(), [2.0] * 11)
     part0 = allocate(Environment.k_unit(2, 9), IroningPlan.empty(), [2.0] * 9)
     part1 = allocate(Environment.k_unit(1, 2), IroningPlan.empty(), [2.0] * 2)
@@ -133,7 +126,7 @@ def test_matroid_realized_alloc_pinned():
     # bidder 0 takes one of part 0's two units; the other five tie on the
     # ironed key 1.0, and the literals pin which of them each seed's
     # uniformly random tie order admits
-    env = Environment.with_matroid(MatroidSpec.partition([0, 1, 0, 1, 0, 1], [2, 1]), 6)
+    env = Environment.partition_matroid([0, 1, 0, 1, 0, 1], [2, 1])
     plan = IroningPlan.canonical([(1.0, 3.0)], 0.5)
     bids = [4.0, 2.0, 2.0, 1.0, 1.0, 2.5]
     expected = {
@@ -147,8 +140,7 @@ def test_matroid_realized_alloc_pinned():
 
 
 def test_matroid_payments_threshold():
-    spec = MatroidSpec.partition([0, 0, 1], [1, 1])
-    env = Environment.with_matroid(spec, 3)
+    env = Environment.partition_matroid([0, 0, 1], [1, 1])
     pays = interim_payments(env, IroningPlan.empty(), [4.0, 2.0, 3.0])
     assert pays[0] == pytest.approx(2.0)  # beats block-mate at 2
     assert pays[1] == 0.0
@@ -189,11 +181,10 @@ def test_truthfulness_random_instances():
         if rng.random() < 0.25:
             n = int(rng.integers(2, 5))
             n_blocks = int(rng.integers(1, n + 1))
-            spec = MatroidSpec.partition(
+            env = Environment.partition_matroid(
                 [int(rng.integers(0, n_blocks)) for _ in range(n)],
                 [int(rng.integers(0, 3)) for _ in range(n_blocks)],
             )
-            env = Environment.with_matroid(spec, n)
         else:
             env = random_slot_env(rng, n_max=4)
         plan = IroningPlan.canonical(
@@ -271,12 +262,12 @@ def _corpus_env(rng, case: int) -> Environment:
         weights = sorted(rng.choice([0.0, 0.3, 0.6, 1.0, float(rng.uniform())], size=int(rng.integers(1, n + 1))))
         return Environment.position(weights[::-1], n)
     if kind == 3:
-        return Environment.with_matroid(MatroidSpec.uniform(int(rng.integers(0, n + 2)), n), n)
+        return Environment.uniform_matroid(int(rng.integers(0, n + 2)), n)
     parts = int(rng.integers(2, 4))
     caps = [0] + [int(rng.integers(1, 3)) for _ in range(parts - 1)]
     rng.shuffle(caps)
     n = max(n, 2)
-    return Environment.with_matroid(MatroidSpec.partition([int(rng.integers(0, parts)) for _ in range(n)], caps), n)
+    return Environment.partition_matroid([int(rng.integers(0, parts)) for _ in range(n)], caps)
 
 
 def test_interim_payments_equal_reference_on_corpus():
@@ -302,7 +293,7 @@ def test_realized_payments_pinned():
     plan = IroningPlan(((1.0, 3.0), (3.0, 5.0)), reserve=1.0)
     bids = [4.0, 2.0, 3.0, 1.0, 3.5]
     position = Environment.position([1.0, 0.6, 0.3], 5)
-    partition = Environment.with_matroid(MatroidSpec.partition([0, 1, 0, 1, 0], [2, 1]), 5)
+    partition = Environment.partition_matroid([0, 1, 0, 1, 0], [2, 1])
     expected = {
         (position, 0): (1.6105263157894736, 0.0, 0.8052631578947369, 0.0, 2.6842105263157894),
         (position, 1): (2.6842105263157894, 0.0, 1.6105263157894738, 0.0, 0.8052631578947368),

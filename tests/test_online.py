@@ -5,7 +5,7 @@ import pytest
 
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import dkw_epsilon
-from myerson_lab.environments import Environment, MatroidSpec
+from myerson_lab.environments import Environment
 from myerson_lab.online import regret_bound, run_no_regret
 from reference import run_no_regret_concatenating
 
@@ -19,7 +19,7 @@ INCREMENTAL_CASES = {
         ValueDistribution.discrete([(0, 0.2), (2, 0.0), (3, 0.5), (7, 0.3)], h_max=8.0),
         Environment.k_unit(2, 4),
     ),
-    "law8-partition": (LAW8, Environment.with_matroid(MatroidSpec.partition([0, 0, 1, 1, 1], [1, 2]), 5)),
+    "law8-partition": (LAW8, Environment.partition_matroid([0, 0, 1, 1, 1], [1, 2])),
 }
 
 

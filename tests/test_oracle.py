@@ -7,7 +7,7 @@ import pytest
 from myerson_lab.curves import concave_envelope, pointwise_gap
 from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
 from myerson_lab.engine import interim_payments
-from myerson_lab.environments import Environment, MatroidSpec
+from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.oracle import (
     GuardError,
@@ -21,6 +21,7 @@ from myerson_lab.oracle import (
 )
 
 from conftest import (
+    env_kind,
     random_aligned_plan,
     random_discrete,
     random_grid_law,
@@ -94,7 +95,7 @@ def test_enum_guard():
     # members: C(47, 40) = 62,891,499 at n = 40, as one matroid block or
     # ranked; n = 1e9 is refused before a block of 1e9 members is built
     for n in (40, 10**9):
-        for env in (Environment.with_matroid(MatroidSpec.uniform(1, n), n), Environment.single_item(n)):
+        for env in (Environment.uniform_matroid(1, n), Environment.single_item(n)):
             with pytest.raises(GuardError):
                 expected_revenue_enum(LAW8, env, IroningPlan.empty())
     # the guard counts the n_b bids each multiset prices: 200,001 multisets
@@ -167,7 +168,7 @@ def test_enum_quadrature_agreement_random():
     for i in range(400):
         d = random_grid_law(rng)
         env = (random_slot_env, random_matroid_env)[i % 2](rng)
-        kinds.add(env.matroid.kind if env.kind == "matroid" else env.kind)
+        kinds.add(env_kind(env))
         for plan in (random_grid_plan(rng), optimal_plan(d)):
             e = expected_revenue_enum(d, env, plan).expected_revenue
             q = expected_revenue_quadrature(d, env, plan).expected_revenue
@@ -183,7 +184,7 @@ def test_quadrature_prices_every_endpoint_at_its_posted_price():
         (zero_atoms, Environment.single_item(6), IroningPlan.canonical([], 6.0), 5.5559836889213905),
         (
             ValueDistribution.discrete([(1, 0), (6, 0), (7, 1)], h_max=10.0),
-            Environment.with_matroid(MatroidSpec.uniform(3, 3), 3),
+            Environment.uniform_matroid(3, 3),
             IroningPlan.empty(),
             0.0,
         ),
@@ -204,11 +205,11 @@ def test_enum_quadrature_agreement_matroid():
     # while quadrature sums closed-form k-unit integrals over the blocks
     rng = np.random.default_rng(34)
     envs = [random_matroid_env(rng) for _ in range(40)] + [
-        Environment.with_matroid(MatroidSpec.uniform(0, 3), 3),
-        Environment.with_matroid(MatroidSpec.uniform(5, 3), 3),
-        Environment.with_matroid(MatroidSpec.partition([0, 2, 0, 2], [1, 4, 0]), 4),
+        Environment.uniform_matroid(0, 3),
+        Environment.uniform_matroid(5, 3),
+        Environment.partition_matroid([0, 2, 0, 2], [1, 4, 0]),
     ]
-    kinds = {env.matroid.kind for env in envs}
+    kinds = {env_kind(env) for env in envs}
     assert kinds == {"uniform", "partition"}
     for env in envs:
         d = random_discrete(rng)
@@ -244,7 +245,7 @@ def test_optimal_plan_meets_virtual_welfare_bound():
     for _ in range(150):
         d = random_discrete(rng, max_atoms=5)
         env = (random_slot_env if rng.random() < 0.6 else random_matroid_env)(rng, n_max=4)
-        kinds.add(env.matroid.kind if env.kind == "matroid" else env.kind)
+        kinds.add(env_kind(env))
         bound = virtual_welfare_bound(d, env)
         assert expected_revenue_enum(d, env, optimal_plan(d)).expected_revenue == pytest.approx(bound, abs=1e-12)
         for m in (5, 50):
@@ -289,7 +290,7 @@ def test_mc_reproducible():
 
 
 def test_mc_works_for_matroid_and_continuous():
-    env = Environment.with_matroid(MatroidSpec.partition([0, 0, 1], [1, 1]), 3)
+    env = Environment.partition_matroid([0, 0, 1], [1, 1])
     d = ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0)
     rep = expected_revenue_mc(d, env, IroningPlan.empty(), trials=500, seed=1)
     assert rep.expected_revenue >= 0.0
@@ -435,7 +436,7 @@ def test_additive_loss_is_the_enumerated_revenue_difference():
     for i in range(150):
         d = random_discrete(rng, max_atoms=5)
         env = (random_slot_env if i % 2 else random_matroid_env)(rng)
-        kinds.add(env.matroid.kind if env.matroid else env.kind)
+        kinds.add(env_kind(env))
         plan = compute_auction(sample(d, int(rng.integers(5, 500)), np.random.SeedSequence([61, i])), 0.1, d.h_max)
         opt = expected_revenue_enum(d, env, optimal_plan(d)).expected_revenue
         alg = expected_revenue_enum(d, env, plan).expected_revenue
