@@ -12,8 +12,7 @@ from .curves import (
     argmax_quantile,
     concave_envelope,
     difference_intervals,
-    induce_curve,
-    optimal_induced,
+    induced_curve,
     pointwise_gap,
 )
 from .distributions import (
@@ -22,12 +21,11 @@ from .distributions import (
     exact_quantile,
     exact_revenue_curve,
     sample,
-    tail_probability,
 )
 from .empirical import EmpiricalQuantile, dkw_epsilon, r_max_curve, r_min_curve
 from .engine import AuctionOutcome, allocate, ironed_key, run_auction
 from .environments import Environment, is_independent
-from .learner import IroningPlan, compute_auction, loss_bound, required_samples_iid
+from .learner import IroningPlan, compute_auction, loss_bound, optimal_induced, required_samples_iid
 from .online import RegretTrace, regret_bound, run_no_regret
 from .oracle import (
     GuardError,
@@ -36,7 +34,6 @@ from .oracle import (
     expected_revenue_enum,
     expected_revenue_mc,
     expected_revenue_quadrature,
-    induced_true_curve,
     optimal_plan,
     virtual_welfare_bound,
 )

@@ -7,17 +7,23 @@ left limit, then the value taken at the point (which equals the right
 limit; evaluation is right-continuous at jumps).  Every evaluation takes
 one quantile or an array of them.  Revenue curves q * price(q) are built
 from ``PriceRuns``, two arrays of run edges and run prices.  The concave
-envelope, the intervals where a curve differs from its envelope, and the
-chord/plateau construction used for ironing and reserve prices all
-operate on this representation, in a sort plus linear passes.
+envelope and the intervals where a curve differs from it operate on this
+representation, in a sort plus linear passes.  One construction,
+``induced_curve``, applies an ironing plan to price runs: every ironing
+chord and reserve plateau, for the true law and for the confidence
+curves alike, comes from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .learner import IroningPlan
 
 __all__ = [
     "PiecewiseLinearCurve",
@@ -26,8 +32,7 @@ __all__ = [
     "concave_envelope",
     "difference_intervals",
     "argmax_quantile",
-    "induce_curve",
-    "optimal_induced",
+    "induced_curve",
     "pointwise_gap",
     "curve_from_price_runs",
     "price_left_of_runs",
@@ -106,11 +111,6 @@ class PiecewiseLinearCurve:
     def left_value(self, q):
         """Limit from the left at q (the value itself at q=0)."""
         return _float_or_array(self._limits(q)[0])
-
-    def upper_value(self, q):
-        """max of the one-sided limits at q (the attained sup there)."""
-        left, right = self._limits(q)
-        return _float_or_array(np.where(right > left, right, left))
 
 
 @dataclass(frozen=True)
@@ -227,24 +227,13 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     return PiecewiseLinearCurve(np.array(sq + [oq, aq]), np.array(sv + [ov, av]))
 
 
-def _default_tol(hull: PiecewiseLinearCurve) -> float:
-    scale = float(hull.values.max())
-    return 1e-9 * (scale if scale > 0.0 else 1.0)
-
-
-def difference_intervals(
-    curve: PiecewiseLinearCurve,
-    hull: PiecewiseLinearCurve,
-    tol: float | None = None,
-) -> QuantileIntervalSet:
+def difference_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: float) -> QuantileIntervalSet:
     """Maximal open intervals where hull - curve exceeds tol.
 
     A breakpoint where the hull touches either one-sided limit of the
     curve splits adjacent gap regions: the hull is linear across each
     returned interval, so ironing by chords reproduces it exactly.
     """
-    if tol is None:
-        tol = _default_tol(hull)
     grid = np.concatenate((curve.qs, hull.qs))
     grid.sort()
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
@@ -270,71 +259,47 @@ def argmax_quantile(curve: PiecewiseLinearCurve) -> float:
     return float(curve.qs[np.argmax(curve.values)])
 
 
-def induce_curve(
-    curve: PiecewiseLinearCurve,
-    quantile_ironing: QuantileIntervalSet | Sequence[tuple[float, float]],
-    reserve_q: float,
-) -> PiecewiseLinearCurve:
-    """Apply ironing chords and a reserve plateau to a curve.
+def induced_curve(runs: PriceRuns, plan: IroningPlan) -> PiecewiseLinearCurve:
+    """The revenue curve of ``runs`` as the auction of ``plan`` induces it.
 
-    Inside each ironing interval (a, b) the curve is replaced by the
-    chord between its attained sups at a and b; above ``reserve_q`` it is
-    constant at the attained sup there.
+    Adjacent runs of one price are merged first; an empty run is kept,
+    since it still names its point.  A bid's rank key changes only at the
+    reserve, at interval endpoints and at unironed prices at or above the
+    reserve; each such price x sits at its posted-price point (q, x * q),
+    where q is the right edge of the last run priced at least x.  Walking
+    down in price from (0, 0): an unironed price adds its exact run; an
+    interval [lo, hi) the chord from hi's point to lo's; the reserve r its
+    point and then (1, r * q).  Of three or more vertices at one q only
+    the first (the left limit) and the last (the value) enter any
+    integral, so only they are kept.  Runs whose prices rise are refused.
     """
-    if not 0.0 <= reserve_q <= 1.0:
-        raise ValueError("reserve_q outside [0, 1]")
-    intervals = list(quantile_ironing)
-    verts: list[tuple[float, float]] = []
+    # the merged runs, lowest price first: vals[j] prices the run from tails[j + 1] to tails[j]
+    vals, tails = [], []
+    for p, q in zip(runs.prices[::-1].tolist(), runs.edges[:0:-1].tolist()):
+        if vals and p <= vals[-1]:
+            if p < vals[-1]:
+                raise ValueError("run prices must be nonincreasing")
+            continue
+        vals.append(p)
+        tails.append(q)
+    tails.append(0.0)
 
-    def emit(q: float, v: float) -> None:
-        if verts and verts[-1] == (q, v):
-            return
-        if len(verts) >= 2 and verts[-1][0] == q and verts[-2][0] == q:
-            verts[-1] = (q, v)
-            return
-        verts.append((q, v))
+    def point(x: float) -> tuple[float, float]:
+        t = tails[bisect_left(vals, x)]
+        return t, x * t
 
-    pos = 0.0
-    src = list(curve.vertices)
-    i = 0
-    for a, b in intervals:
-        # copy source vertices strictly before a
-        while i < len(src) and src[i][0] < a:
-            if src[i][0] >= pos:
-                emit(*src[i])
-            i += 1
-        emit(a, curve.upper_value(a))
-        emit(b, curve.upper_value(b))
-        right = curve.evaluate(b)
-        if right != curve.upper_value(b):
-            emit(b, right)
-        while i < len(src) and src[i][0] <= b:
-            i += 1
-        pos = b
-    while i < len(src):
-        if src[i][0] >= pos:
-            emit(*src[i])
-        i += 1
-    ironed = PiecewiseLinearCurve.from_vertices(verts)
-    if reserve_q >= 1.0:
-        return ironed
-    plateau = ironed.upper_value(reserve_q)
-    out: list[tuple[float, float]] = [v for v in ironed.vertices if v[0] < reserve_q]
-    out.append((reserve_q, plateau))
-    out.append((1.0, plateau))
-    if out[0][0] != 0.0:
-        out.insert(0, (0.0, ironed.evaluate(0.0)))
-    return PiecewiseLinearCurve.from_vertices(out)
-
-
-def optimal_induced(curve: PiecewiseLinearCurve, tol: float | None = None) -> PiecewiseLinearCurve:
-    """Optimally ironed and reserved version of a curve.
-
-    Equals the concave envelope up to its argmax, then a plateau.
-    """
-    hull = concave_envelope(curve)
-    gaps = difference_intervals(curve, hull, tol)
-    return induce_curve(curve, gaps, argmax_quantile(curve))
+    regions = [(lo, point(hi), point(lo)) for lo, hi in plan.intervals]
+    regions += [
+        (v, (tails[j + 1], v * tails[j + 1]), (tails[j], v * tails[j]))
+        for j, v in enumerate(vals)
+        if v >= plan.reserve and not any(lo <= v < hi for lo, hi in plan.intervals)
+    ]
+    regions.sort(reverse=True)  # the lowest prices v and lo are distinct
+    tail_r, rev_r = point(plan.reserve)
+    verts = [(0.0, 0.0), *(p for _, upper, lower in regions for p in (upper, lower)), (tail_r, rev_r), (1.0, rev_r)]
+    inner = zip(verts, verts[1:], verts[2:])
+    keep = [verts[0], *(b for a, b, c in inner if not a[0] == b[0] == c[0]), verts[-1]]
+    return PiecewiseLinearCurve.from_vertices(keep)
 
 
 def pointwise_gap(a: PiecewiseLinearCurve, b: PiecewiseLinearCurve) -> float:

@@ -2,14 +2,17 @@
 
 Two families are supported: finite discrete laws (the ground truth for
 every exact oracle) and mixtures of uniform components (sampling and
-Monte Carlo only; their revenue curves are grid approximations).
+Monte Carlo only; their revenue curves are grid approximations).  A
+discrete law is also its ``price_runs``, built once: posting atom v
+sells with probability P(V >= v), so v prices the quantiles from
+P(V > v) to P(V >= v).  The exact revenue curve, the optimal plan and
+every plan's induced curve are all read from those runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +21,7 @@ import numpy as np
 from .curves import PiecewiseLinearCurve, PriceRuns, curve_from_price_runs
 from .environments import _json_list, _json_number, _json_object
 
-__all__ = ["ValueDistribution", "sample", "exact_cdf", "exact_quantile", "tail_probability", "exact_revenue_curve"]
+__all__ = ["ValueDistribution", "sample", "exact_cdf", "exact_quantile", "exact_revenue_curve"]
 
 _PROB_TOL = 1e-12
 
@@ -129,6 +132,24 @@ class ValueDistribution:
             a.flags.writeable = False
         return arrays
 
+    @cached_property
+    def price_runs(self) -> PriceRuns:
+        """Constant-price runs of q -> F_inverse(1 - q), highest value first.
+
+        The run of atom v_j ends at T[j] = P(V >= v_j), reverse-accumulated
+        with T[0] pinned to 1, so quantile images of atom values land on
+        the revenue curve's breakpoints; the clamp at 1 keeps the edges in
+        order when the sum rounds above 1.  A zero-probability atom keeps
+        its empty run.  The arrays are read-only.
+        """
+        if not self.is_discrete:
+            raise ValueError("price runs need a discrete distribution")
+        vals, probs, _ = self._atom_arrays
+        edges = np.concatenate(([0.0], np.minimum(np.cumsum(probs[::-1]), 1.0)))
+        edges[-1] = 1.0
+        edges.flags.writeable = False
+        return PriceRuns(edges, vals[::-1])
+
 
 def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
     """Draw ``count`` i.i.d. values, deterministically for a given seed."""
@@ -159,34 +180,6 @@ def exact_cdf(dist: ValueDistribution, v: float) -> float:
     return total
 
 
-def _discrete_tails(dist: ValueDistribution) -> list[float]:
-    """T[j] = P(V >= v_j) by reverse accumulation, with T[0] pinned to 1.
-
-    The same floats serve as run boundaries in the exact revenue curve,
-    so quantile images of atom values land exactly on curve breakpoints;
-    the clamp at 1 keeps them in order when the sum rounds above 1.
-    """
-    probs = [p for _, p in dist.atoms]
-    tails = [0.0] * len(probs)
-    acc = 0.0
-    for j in range(len(probs) - 1, -1, -1):
-        acc += probs[j]
-        tails[j] = min(acc, 1.0)
-    tails[0] = 1.0
-    return tails
-
-
-def tail_probability(dist: ValueDistribution, v: float) -> float:
-    """P(V >= v); the sale probability at posted price v."""
-    if dist.is_discrete:
-        vals = [a for a, _ in dist.atoms]
-        j = bisect_left(vals, v)
-        if j == len(vals):
-            return 0.0
-        return _discrete_tails(dist)[j]
-    return 1.0 - exact_cdf(dist, v)
-
-
 def exact_quantile(dist: ValueDistribution, p: float) -> float:
     """Generalized inverse: the smallest v with exact_cdf(v) >= p."""
     if not 0.0 <= p <= 1.0:
@@ -212,17 +205,6 @@ def exact_quantile(dist: ValueDistribution, p: float) -> float:
     return edges[-1]
 
 
-def _discrete_price_runs(dist: ValueDistribution) -> PriceRuns:
-    """Constant-price runs of q -> F_inverse(1 - q) in quantile space.
-
-    Posting atom v_j sells with probability tail(v_j); the run for v_j
-    covers quantiles (tail(v_{j+1}), tail(v_j)], high values first.  A
-    zero-probability atom keeps its empty run.
-    """
-    tails = _discrete_tails(dist)
-    return PriceRuns(np.array([0.0, *tails[::-1]]), np.array([v for v, _ in reversed(dist.atoms)]))
-
-
 def exact_revenue_curve(dist: ValueDistribution, grid_points: int = 10_000) -> PiecewiseLinearCurve:
     """Revenue-vs-quantile curve q * F_inverse(1 - q).
 
@@ -230,7 +212,7 @@ def exact_revenue_curve(dist: ValueDistribution, grid_points: int = 10_000) -> P
     uniform quantile-grid approximation for mixtures.
     """
     if dist.is_discrete:
-        return curve_from_price_runs(_discrete_price_runs(dist))
+        return curve_from_price_runs(dist.price_runs)
     qs = np.linspace(0.0, 1.0, grid_points + 1)
     values = [0.0] + [q * exact_quantile(dist, 1.0 - q) for q in qs[1:].tolist()]
     return PiecewiseLinearCurve(qs, np.array(values))

@@ -43,9 +43,6 @@ class AuctionOutcome:
     realized_alloc: tuple[float, ...]
     realized_payment: tuple[float, ...]
 
-    def total_interim_payment(self) -> float:
-        return math.fsum(self.interim_payment)
-
 
 def validate_bids(bids: Sequence[float]) -> None:
     for b in bids:

@@ -58,6 +58,14 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _count(value, what: str) -> int:
+    """An integer argument as an int: ``operator.index`` refuses floats,
+    and booleans, which it would read as 0 and 1, are refused too."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _block(members: Iterable[int], top: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """A rank auction of ``members`` whose slots weigh ``top``, zero-padded to the member count."""
     members = tuple(members)
@@ -75,9 +83,10 @@ class Environment:
 
     @staticmethod
     def _of(kind: str, n: int, /, **fields) -> "Environment":
+        n = _count(n, "n")
         if n < 1:
             raise ValueError("need at least one bidder")
-        return Environment(kind, n, json.dumps({"type": kind, **fields, "n": n}, default=operator.index))
+        return Environment(kind, n, json.dumps({"type": kind, **fields, "n": n}))
 
     @staticmethod
     def single_item(n: int) -> "Environment":
@@ -85,6 +94,7 @@ class Environment:
 
     @staticmethod
     def k_unit(k: int, n: int) -> "Environment":
+        k, n = _count(k, "k"), _count(n, "n")
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         return Environment._of("k_unit", n, k=k)
@@ -103,6 +113,7 @@ class Environment:
     @staticmethod
     def uniform_matroid(rank: int, n: int) -> "Environment":
         """Any ``rank`` of the n bidders may win together."""
+        rank = _count(rank, "rank")
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         return Environment._of("matroid", n, kind="uniform", rank=rank)
@@ -111,7 +122,7 @@ class Environment:
     def partition_matroid(parts: Sequence[int], capacities: Sequence[int]) -> "Environment":
         """Bidder i is in part ``parts[i]``, of which at most
         ``capacities[parts[i]]`` members may win together."""
-        parts, capacities = [operator.index(p) for p in parts], [operator.index(c) for c in capacities]
+        parts, capacities = [_count(p, "part") for p in parts], [_count(c, "capacity") for c in capacities]
         if any(not 0 <= p < len(capacities) for p in parts):
             raise ValueError("block id out of range")
         if any(c < 0 for c in capacities):

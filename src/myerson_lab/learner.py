@@ -18,10 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .curves import (
+    PiecewiseLinearCurve,
     PriceRuns,
     argmax_quantile,
     concave_envelope,
     difference_intervals,
+    induced_curve,
     price_left_of_runs,
 )
 from .empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs
@@ -31,6 +33,7 @@ __all__ = [
     "IroningPlan",
     "compute_auction",
     "plan_from_price_runs",
+    "optimal_induced",
     "required_samples_iid",
     "loss_bound",
 ]
@@ -124,6 +127,12 @@ def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     prices = price_left_of_runs(runs, np.concatenate(([argmax_quantile(curve)], ends))).tolist()
     reserve, his, los = prices[0], prices[1::2], prices[2::2]
     return IroningPlan.canonical([(lo, hi) for lo, hi in zip(los, his) if lo < hi], reserve)
+
+
+def optimal_induced(runs: PriceRuns, h_max: float) -> PiecewiseLinearCurve:
+    """The curve of ``runs`` as its own optimal plan induces it: the
+    concave envelope up to the argmax quantile, then a plateau."""
+    return induced_curve(runs, plan_from_price_runs(runs, h_max))
 
 
 def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:

@@ -17,20 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .curves import PiecewiseLinearCurve, concave_envelope
-from .distributions import (
-    ValueDistribution,
-    _discrete_price_runs,
-    _discrete_tails,
-    exact_revenue_curve,
-    sample,
-)
+from .curves import concave_envelope, induced_curve
+from .distributions import ValueDistribution, exact_revenue_curve, sample
 from .engine import interim_payments
 from .environments import Environment
 from .learner import IroningPlan, plan_from_price_runs
@@ -39,7 +32,6 @@ __all__ = [
     "GuardError",
     "RevenueReport",
     "optimal_plan",
-    "induced_true_curve",
     "expected_revenue_enum",
     "expected_revenue_quadrature",
     "expected_revenue_mc",
@@ -73,42 +65,7 @@ def optimal_plan(dist: ValueDistribution) -> IroningPlan:
     """Exact revenue-optimal plan: iron the envelope gaps of the true
     revenue curve, reserve at its argmax quantile."""
     _require_discrete(dist, "optimal_plan")
-    return plan_from_price_runs(_discrete_price_runs(dist), dist.h_max)
-
-
-def induced_true_curve(dist: ValueDistribution, plan: IroningPlan) -> PiecewiseLinearCurve:
-    """True revenue curve of the auction a plan induces.
-
-    A bid's rank key changes only at the reserve, at interval endpoints
-    and at unironed atoms at or above the reserve; each such price x sits
-    at its posted-price point (P(V >= x), x * P(V >= x)).  Walking down
-    in price from (0, 0): an unironed atom v adds its exact run, from
-    P(V > v) to P(V >= v); an interval [lo, hi) the chord from hi's point
-    to lo's; the reserve r its point and then (1, r * P(V >= r)).  Of
-    three or more vertices at one q only the first (the left limit) and
-    the last (the value) enter the integral, so only they are kept.  The
-    tails are the exact revenue curve's, so points land on its floats.
-    """
-    _require_discrete(dist, "induced_true_curve")
-    vals = [v for v, _ in dist.atoms]
-    tails = _discrete_tails(dist) + [0.0]
-
-    def point(x: float) -> tuple[float, float]:
-        t = tails[bisect_left(vals, x)]
-        return t, x * t
-
-    regions = [(lo, point(hi), point(lo)) for lo, hi in plan.intervals]
-    regions += [
-        (v, (tails[j + 1], v * tails[j + 1]), (tails[j], v * tails[j]))
-        for j, v in enumerate(vals)
-        if v >= plan.reserve and not any(lo <= v < hi for lo, hi in plan.intervals)
-    ]
-    regions.sort(reverse=True)  # the lowest prices v and lo are distinct
-    tail_r, rev_r = point(plan.reserve)
-    verts = [(0.0, 0.0), *(p for _, upper, lower in regions for p in (upper, lower)), (tail_r, rev_r), (1.0, rev_r)]
-    inner = zip(verts, verts[1:], verts[2:])
-    keep = [verts[0], *(b for a, b, c in inner if not a[0] == b[0] == c[0]), verts[-1]]
-    return PiecewiseLinearCurve.from_vertices(keep)
+    return plan_from_price_runs(dist.price_runs, dist.h_max)
 
 
 def _profile_payment(env: Environment, plan: IroningPlan, bids: list[float]) -> float:
@@ -190,11 +147,12 @@ def expected_revenue_quadrature(
     quantiles, so its interim allocation is the Bernstein sum
     y(q) = sum_r w_r C(n-1, r-1) q^(r-1) (1-q)^(n-r), with integral
     Y(x) = (1/n) sum_j C(n, j) x^j (1-x)^(n-j) (w_1 + ... + w_j).  Each
-    member earns the integral of the plan's induced curve R against -y',
-    by parts on every linear piece, plus R(1) y(1); y and Y are evaluated
-    once at all vertices.  Exact for every plan over a discrete law.  A
-    block of 1030 or more members, whose binomial row overflows a float,
-    is refused.
+    member earns the integral of R against -y', by parts on every linear
+    piece, plus R(1) y(1), where R is ``induced_curve`` of the law's price
+    runs under the plan: the one chord/plateau construction, whose
+    posted-price points make it exact for every plan over a discrete law.
+    y and Y are evaluated once at all of R's vertices.  A block of 1030
+    or more members, whose binomial row overflows a float, is refused.
     """
     _require_discrete(dist, "expected_revenue_quadrature")
     # refuse huge n before building blocks, as enumeration does
@@ -202,7 +160,7 @@ def expected_revenue_quadrature(
         raise GuardError(f"{env.n} bidders exceed the quadrature guard")
     for members, _ in env.blocks:
         _refuse_float_overflow(len(members), 2)
-    curve = induced_true_curve(dist, plan)
+    curve = induced_curve(dist.price_runs, plan)
     qs, vs = curve.qs, curve.values
     lo = np.flatnonzero(qs[1:] > qs[:-1])  # the nondegenerate pieces, from vertex lo to hi
     hi = lo + 1
@@ -256,7 +214,7 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     for members, _ in env.blocks:
         _refuse_float_overflow(len(members), 2)
     hull = concave_envelope(exact_revenue_curve(dist))
-    edges = _discrete_price_runs(dist).edges.tolist()
+    edges = dist.price_runs.edges.tolist()
     levels = [
         (q1, max(0.0, (hull.evaluate(q1) - hull.evaluate(q0)) / (q1 - q0)))
         for q0, q1 in zip(edges, edges[1:])

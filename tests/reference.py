@@ -6,9 +6,11 @@ greedy selection with it, the brute force that ``Environment.blocks`` is
 checked against, the threshold payment that re-runs ``allocate`` on
 every piece of the bid line, and the k-unit interim
 allocation with its integral and derivative, the k-by-k form of the
-Bernstein mixture that revenue quadrature evaluates per block, and the
-no-regret loop that relearns from one growing array of every bid.  They
-live here because nothing in the package calls them.
+Bernstein mixture that revenue quadrature evaluates per block, the
+no-regret loop that relearns from one growing array of every bid, and
+the vertex-by-vertex ironing walk in quantile space that the package's
+``induced_curve`` is checked against.  They live here because nothing
+in the package calls them.
 """
 
 import json
@@ -190,12 +192,92 @@ def triples(runs: PriceRuns) -> list:
     return list(zip(edges, edges[1:], prices))
 
 
+def discrete_tails(dist) -> list:
+    """T[j] = P(V >= v_j) by reverse accumulation, with T[0] pinned to 1
+    and every sum clamped at 1."""
+    probs = [p for _, p in dist.atoms]
+    tails = [0.0] * len(probs)
+    acc = 0.0
+    for j in range(len(probs) - 1, -1, -1):
+        acc += probs[j]
+        tails[j] = min(acc, 1.0)
+    tails[0] = 1.0
+    return tails
+
+
+def tail_probability(dist, v: float) -> float:
+    """P(V >= v) of a discrete law: the sale probability at posted price v."""
+    j = bisect_left([a for a, _ in dist.atoms], v)
+    return discrete_tails(dist)[j] if j < len(dist.atoms) else 0.0
+
+
+def upper_value(curve: PiecewiseLinearCurve, q: float) -> float:
+    """The larger one-sided limit of a curve at q: the sup attained there."""
+    return max(curve.left_value(q), curve.evaluate(q))
+
+
+def induce_curve(curve: PiecewiseLinearCurve, quantile_ironing, reserve_q: float) -> PiecewiseLinearCurve:
+    """Ironing chords and a reserve plateau applied to a curve in quantile
+    space, one vertex at a time.
+
+    Inside each ironing interval (a, b) the curve is replaced by the
+    chord between its attained sups at a and b; above ``reserve_q`` it is
+    constant at the attained sup there.
+    """
+    if not 0.0 <= reserve_q <= 1.0:
+        raise ValueError("reserve_q outside [0, 1]")
+    verts: list = []
+
+    def emit(q: float, v: float) -> None:
+        if verts and verts[-1] == (q, v):
+            return
+        if len(verts) >= 2 and verts[-1][0] == q and verts[-2][0] == q:
+            verts[-1] = (q, v)
+            return
+        verts.append((q, v))
+
+    pos = 0.0
+    src = list(curve.vertices)
+    i = 0
+    for a, b in quantile_ironing:
+        # copy source vertices strictly before a
+        while i < len(src) and src[i][0] < a:
+            if src[i][0] >= pos:
+                emit(*src[i])
+            i += 1
+        emit(a, upper_value(curve, a))
+        emit(b, upper_value(curve, b))
+        right = curve.evaluate(b)
+        if right != upper_value(curve, b):
+            emit(b, right)
+        while i < len(src) and src[i][0] <= b:
+            i += 1
+        pos = b
+    while i < len(src):
+        if src[i][0] >= pos:
+            emit(*src[i])
+        i += 1
+    ironed = PiecewiseLinearCurve.from_vertices(verts)
+    if reserve_q >= 1.0:
+        return ironed
+    plateau = upper_value(ironed, reserve_q)
+    out = [v for v in ironed.vertices if v[0] < reserve_q]
+    out.append((reserve_q, plateau))
+    out.append((1.0, plateau))
+    if out[0][0] != 0.0:
+        out.insert(0, (0.0, ironed.evaluate(0.0)))
+    return PiecewiseLinearCurve.from_vertices(out)
+
+
+def total_interim_payment(outcome) -> float:
+    """Sum of an auction outcome's interim payments."""
+    return math.fsum(outcome.interim_payment)
+
+
 def discrete_price_triples(dist) -> list:
     """(q0, q1, price) runs of a discrete law, highest value first; a
     zero-probability atom keeps its empty run."""
-    from myerson_lab.distributions import _discrete_tails
-
-    tails, vals = _discrete_tails(dist), [v for v, _ in dist.atoms]
+    tails, vals = discrete_tails(dist), [v for v, _ in dist.atoms]
     runs, prev = [], 0.0
     for j in range(len(vals) - 1, -1, -1):
         runs.append((prev, tails[j], vals[j]))

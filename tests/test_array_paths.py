@@ -17,7 +17,7 @@ from myerson_lab.curves import (
     difference_intervals,
     price_left_of_runs,
 )
-from myerson_lab.distributions import ValueDistribution, _discrete_price_runs
+from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, max_price_runs, min_price_runs
 from myerson_lab.environments import Environment
 from myerson_lab.learner import compute_auction
@@ -117,7 +117,7 @@ def test_discrete_stages_and_optimal_plans_match_the_loops():
     for _ in range(300):
         dist = _law_with_zero_atoms(rng)
         want = discrete_price_triples(dist)
-        _check_stages(rng, _discrete_price_runs(dist), want, 1e-9 * H)
+        _check_stages(rng, dist.price_runs, want, 1e-9 * H)
         plan = optimal_plan(dist)
         assert plan == plan_from_triples(want, H)
         if _tail_sum_exceeds_one(dist):

@@ -9,11 +9,11 @@ from myerson_lab.distributions import (
     exact_quantile,
     exact_revenue_curve,
     sample,
-    tail_probability,
 )
 from myerson_lab.empirical import dkw_epsilon
 
 from conftest import rare_high_dist
+from reference import tail_probability
 
 
 def test_point_mass_sampling():
@@ -105,6 +105,19 @@ def test_tail_probability():
     assert tail_probability(d, 3.0) == pytest.approx(0.1, abs=0)
     assert tail_probability(d, 5.0) == pytest.approx(0.1, abs=0)
     assert tail_probability(d, 5.5) == 0.0
+    # each atom's run ends at its sale probability
+    assert d.price_runs.edges.tolist()[1:] == [tail_probability(d, 5.0), tail_probability(d, 1.0)]
+
+
+def test_price_runs_are_built_once_and_read_only():
+    d = ValueDistribution.discrete([(1.0, 0.5), (2.0, 0.0), (5.0, 0.5)], h_max=5.0)
+    runs = d.price_runs
+    assert runs is d.price_runs
+    assert runs.prices.tolist() == [5.0, 2.0, 1.0]
+    assert runs.edges.tolist() == [0.0, 0.5, 0.5, 1.0]  # the zero-mass atom keeps its empty run
+    assert not runs.edges.flags.writeable and not runs.prices.flags.writeable
+    with pytest.raises(ValueError):
+        ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0).price_runs
 
 
 def test_revenue_curve_example2_vertices():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myerson_lab.curves import pointwise_gap, optimal_induced
+from myerson_lab.curves import pointwise_gap
 from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
 from myerson_lab.empirical import (
     EmpiricalQuantile,
@@ -15,7 +15,8 @@ from myerson_lab.empirical import (
     r_max_curve,
     r_min_curve,
 )
-from reference import eval_quantile
+from myerson_lab.learner import optimal_induced
+from reference import eval_quantile, upper_value
 
 
 def test_eval_quantile_basic():
@@ -76,7 +77,7 @@ def test_r_min_constant_samples_clamp():
         assert cmin.evaluate(q) == pytest.approx(q * 2.0, abs=1e-12)
     # value at the clamp point itself follows the right-limit convention;
     # the attained sup is held by the upper vertex
-    assert cmin.upper_value(0.9) == pytest.approx(1.8, abs=1e-12)
+    assert upper_value(cmin, 0.9) == pytest.approx(1.8, abs=1e-12)
     for q in (0.90001, 0.95, 1.0):
         assert cmin.evaluate(q) == 0.0
 
@@ -139,7 +140,8 @@ def test_sandwich_rate_and_gap_bound(bimodal_small):
         )
         if sandwich:
             hits += 1
-            gap = pointwise_gap(optimal_induced(hi_c), optimal_induced(lo_c))
+            star_hi, star_lo = optimal_induced(max_price_runs(eq, eps), 5.0), optimal_induced(min_price_runs(eq, eps), 5.0)
+            gap = pointwise_gap(star_hi, star_lo)
             assert gap <= (2 * eps + 1.0 / m) * 5.0 + 1e-9
     # 1 - delta minus 3 binomial sigmas
     assert hits / trials >= 0.9 - 3 * math.sqrt(0.9 * 0.1 / trials)

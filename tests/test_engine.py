@@ -8,7 +8,7 @@ from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan
 
 from conftest import random_aligned_plan, random_discrete, random_slot_env
-from reference import myerson_payment
+from reference import myerson_payment, total_interim_payment
 
 EX2_PLAN = IroningPlan(intervals=((1.0, 5.0),), reserve=1.0)
 SINGLE10 = Environment.single_item(10)
@@ -78,7 +78,7 @@ def test_run_auction_all_ones_realized_price():
     winners = [i for i, a in enumerate(out.realized_alloc) if a > 0]
     assert len(winners) == 1
     assert out.realized_payment[winners[0]] == 1.0
-    assert out.total_interim_payment() == pytest.approx(1.0, abs=1e-12)
+    assert total_interim_payment(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_auction_k_equals_n_no_competition():

@@ -285,6 +285,36 @@ def test_environment_validation():
         Environment.position([1.0] * 4, 3)  # too many slots
 
 
+def test_counts_must_be_integers():
+    # floats are refused as operator.index refuses them; booleans, which
+    # it would read as 0 and 1, are refused outright
+    with pytest.raises(TypeError):
+        Environment.single_item(2.5)
+    with pytest.raises(TypeError):
+        Environment.uniform_matroid(1.0, 3)
+    with pytest.raises(ValueError):
+        Environment.k_unit(True, 2)
+    with pytest.raises(ValueError):
+        Environment.partition_matroid([0, True], [1, 1])
+    with pytest.raises(ValueError):
+        Environment.single_item(True)
+
+
+def test_numpy_integer_counts_build_the_same_json():
+    i = np.int64
+    pairs = [
+        (Environment.single_item(i(3)), Environment.single_item(3)),
+        (Environment.k_unit(i(2), i(5)), Environment.k_unit(2, 5)),
+        (Environment.position([1, 0.6, 0.3], i(5)), Environment.position([1, 0.6, 0.3], 5)),
+        (Environment.uniform_matroid(i(2), i(4)), Environment.uniform_matroid(2, 4)),
+        (Environment.partition_matroid(np.array([0, 2, 0, 2]), [i(1), i(4), i(0)]),
+         Environment.partition_matroid([0, 2, 0, 2], [1, 4, 0])),
+    ]
+    for got, want in pairs:
+        assert got.to_json() == want.to_json()
+        assert type(got.n) is int and got.blocks == want.blocks
+
+
 def test_slot_weights_padding():
     assert Environment.single_item(3).blocks[0][1] == (1.0, 0.0, 0.0)
     assert Environment.k_unit(2, 4).blocks[0][1] == (1.0, 1.0, 0.0, 0.0)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myerson_lab.curves import optimal_induced
+from myerson_lab.curves import induced_curve
 from myerson_lab.distributions import exact_revenue_curve, sample
-from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, r_min_curve
+from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs, r_min_curve
 from myerson_lab.learner import (
     IroningPlan,
     compute_auction,
     loss_bound,
+    optimal_induced,
     required_samples_iid,
 )
-from myerson_lab.oracle import induced_true_curve
 
 
 def test_plan_validation():
@@ -116,9 +116,9 @@ def test_learned_plan_dominates_pessimistic_optimum(bimodal_small):
         if not np.all(lo_c.evaluate(grid) <= truth_g + 1e-12):
             continue
         checked += 1
-        star = optimal_induced(lo_c, tol=1e-9 * 5.0)
+        star = optimal_induced(min_price_runs(eq, eps), 5.0)
         plan = compute_auction(xs, delta, 5.0)
-        alg = induced_true_curve(bimodal_small, plan)
+        alg = induced_curve(bimodal_small.price_runs, plan)
         probe = np.unique(np.concatenate([grid, [q for q, _ in star.vertices]]))
         assert np.all(alg.evaluate(probe) >= star.evaluate(probe) - 1e-9)
     assert checked > 150

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from myerson_lab.curves import concave_envelope, pointwise_gap
+from myerson_lab.curves import concave_envelope, induced_curve, pointwise_gap
 from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
 from myerson_lab.engine import interim_payments
 from myerson_lab.environments import Environment
@@ -15,7 +15,6 @@ from myerson_lab.oracle import (
     expected_revenue_enum,
     expected_revenue_mc,
     expected_revenue_quadrature,
-    induced_true_curve,
     optimal_plan,
     virtual_welfare_bound,
 )
@@ -30,7 +29,13 @@ from conftest import (
     random_slot_env,
     rare_high_dist,
 )
-from reference import almost_equal, interim_allocation_integral_kunit, interim_allocation_kunit
+from reference import (
+    almost_equal,
+    interim_allocation_integral_kunit,
+    interim_allocation_kunit,
+    tail_probability,
+    upper_value,
+)
 
 
 def test_optimal_plan_example2(bimodal_small):
@@ -300,22 +305,22 @@ def test_induced_true_curve_identity(bimodal_small):
     # the empty plan keeps every left limit of the law's revenue curve,
     # but its reserve 0 posts price 0 at q = 1, where the law reads v_min
     truth = exact_revenue_curve(bimodal_small)
-    got = induced_true_curve(bimodal_small, IroningPlan.empty())
+    got = induced_curve(bimodal_small.price_runs, IroningPlan.empty())
     grid = np.union1d(got.qs, truth.qs)
     assert np.array_equal(got.left_value(grid), truth.left_value(grid))
     assert np.array_equal(got.evaluate(grid[:-1]), truth.evaluate(grid[:-1]))
     assert (got.evaluate(1.0), truth.evaluate(1.0)) == (0.0, 1.0)
     # a reserve at v_min posts the law's own price there
-    assert almost_equal(induced_true_curve(bimodal_small, IroningPlan.canonical([], 1.0)), truth, tol=0.0)
+    assert almost_equal(induced_curve(bimodal_small.price_runs, IroningPlan.canonical([], 1.0)), truth, tol=0.0)
 
 
 def test_induced_true_curve_example2_hull(bimodal_small):
-    got = induced_true_curve(bimodal_small, optimal_plan(bimodal_small))
+    got = induced_curve(bimodal_small.price_runs, optimal_plan(bimodal_small))
     assert almost_equal(got, concave_envelope(exact_revenue_curve(bimodal_small)), tol=1e-12)
 
 
 def test_induced_true_curve_posted_price(bimodal_small):
-    got = induced_true_curve(bimodal_small, IroningPlan.canonical([], 5.0))
+    got = induced_curve(bimodal_small.price_runs, IroningPlan.canonical([], 5.0))
     assert got.evaluate(0.05) == pytest.approx(0.25, abs=1e-12)
     for q in (0.1, 0.5, 1.0):
         assert got.evaluate(q) == pytest.approx(0.5, abs=1e-12)
@@ -329,8 +334,6 @@ def _unswitched_revenue(d, n, plan):
     the reserve quantile; jumps weigh the curve's attained sup, and the
     terminal drop at q=1 nets against the below-support payment floor.
     """
-    from myerson_lab.distributions import tail_probability
-
     big_y = interim_allocation_integral_kunit
 
     curve = exact_revenue_curve(d)
@@ -382,7 +385,7 @@ def _unswitched_revenue(d, n, plan):
             continue
         jump = side_value(q, +1) - side_value(q, -1)
         if jump != 0.0:
-            total += -curve.upper_value(q) * jump
+            total += -upper_value(curve, q) * jump
     floor = interim_allocation_kunit(1.0, 1, n) * max(0.0, d.atoms[0][0] - max(plan.reserve, 0.0))
     return n * (total - floor)
 
@@ -419,12 +422,12 @@ def test_additive_loss_positive_without_ironing(bimodal_small):
 
 def test_additive_loss_bounded_by_pointwise_gap(bimodal_small):
     env = Environment.single_item(3)
-    opt_curve = induced_true_curve(bimodal_small, optimal_plan(bimodal_small))
+    opt_curve = induced_curve(bimodal_small.price_runs, optimal_plan(bimodal_small))
     rng = np.random.default_rng(50)
     for _ in range(30):
         plan = random_aligned_plan(rng, bimodal_small)
         loss = additive_loss(bimodal_small, env, plan)
-        alg_curve = induced_true_curve(bimodal_small, plan)
+        alg_curve = induced_curve(bimodal_small.price_runs, plan)
         assert loss <= env.n * pointwise_gap(opt_curve, alg_curve) + 1e-9
 
 
