@@ -7,8 +7,11 @@ left limit, then the value taken at the point (which equals the right
 limit; evaluation is right-continuous at jumps).  Every evaluation takes
 one quantile or an array of them.  Revenue curves q * price(q) are built
 from ``PriceRuns``, two arrays of run edges and run prices.  The concave
-envelope and the intervals where a curve differs from it operate on this
-representation, in a sort plus linear passes.  One construction,
+envelope prunes, in whole-array passes, the points that lie on or below
+the chord of their neighbours, then runs a monotone chain over the rest;
+its vertices are vertices of the curve, so the intervals where the curve
+differs from it are read off the curve's own vertices and piece
+midpoints, in linear passes.  One construction,
 ``induced_curve``, applies an ironing plan to price runs: every ironing
 chord and reserve plateau, for the true law and for the confidence
 curves alike, comes from it.
@@ -16,7 +19,7 @@ curves alike, comes from it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -196,11 +199,31 @@ def price_left_of_runs(runs: PriceRuns, q):
     return runs.prices[np.maximum(i, 0)]
 
 
+def _prune_below_chords(qs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop, in whole-array passes, every point on or below the chord of
+    its two neighbours, by the monotone chain's own test and operand
+    order; no such point is a hull vertex.  Passes stop once one removes
+    less than a fifth of the points or at most 64 remain."""
+    while len(qs) > 64:
+        n = len(qs)
+        oq, ov, aq, av, q, v = qs[:-2], vs[:-2], qs[1:-1], vs[1:-1], qs[2:], vs[2:]
+        below = (aq - oq) * (v - ov) - (av - ov) * (q - oq) >= 0.0
+        keep = np.concatenate(([True], ~below, [True]))
+        qs, vs = qs[keep], vs[keep]
+        if 5 * (n - len(qs)) < n:
+            break
+    return qs, vs
+
+
 def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     """Least concave majorant: the upper hull of the vertex set.
 
     Jump curves contribute both one-sided limit vertices, so the hull
-    majorizes the curve everywhere, including at discontinuities.
+    majorizes the curve everywhere, including at discontinuities.  On
+    large curves, whole-array passes first drop the points on or below
+    their neighbours' chord (about half per pass on a sampled revenue
+    curve); a monotone chain picks the hull from the rest, so every hull
+    vertex is a curve vertex.
     """
     # Collapse each jump pair to its higher vertex (the first one on a
     # tie); the lower one is never on the upper hull.
@@ -208,10 +231,11 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     pair = qs[1:] == qs[:-1]  # vertex i + 1 sits at vertex i's q
     top = np.concatenate((np.where(pair & (vs[1:] > vs[:-1]), vs[1:], vs[:-1]), vs[-1:]))
     first = np.concatenate(([True], ~pair))
+    qs, vs = _prune_below_chords(qs[first], top[first])
     # Monotone chain: pop the last hull point a while it lies on or below
     # the chord from the one before it, o, to the new point.  The hull is
     # the lists sq, sv followed by o and a, which live in locals.
-    points = zip(qs[first].tolist(), top[first].tolist())
+    points = zip(qs.tolist(), vs.tolist())
     (oq, ov), (aq, av) = next(points), next(points)
     sq, sv = [], []
     for q, v in points:
@@ -230,27 +254,44 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
 def difference_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: float) -> QuantileIntervalSet:
     """Maximal open intervals where hull - curve exceeds tol.
 
-    A breakpoint where the hull touches either one-sided limit of the
-    curve splits adjacent gap regions: the hull is linear across each
-    returned interval, so ironing by chords reproduces it exactly.
+    ``hull`` must be ``concave_envelope(curve)``, so that its vertices
+    are vertices of the curve.  The grid is then the curve's distinct
+    quantiles: the curve's one-sided limits there are its vertex values,
+    and at each piece's midpoint its value is interpolated as
+    ``evaluate`` does, from the last vertex at the piece's left end to
+    the first at its right end.  A breakpoint where the hull touches
+    either one-sided limit of the curve splits adjacent gap regions: the
+    hull is linear across each returned interval, so ironing by chords
+    reproduces it exactly.
     """
-    grid = np.concatenate((curve.qs, hull.qs))
-    grid.sort()
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    inner = grid[1:-1]
-    n = len(grid) - 1
-    # hull and curve at every piece midpoint, then at every inner grid point
-    probe = np.concatenate((0.5 * (grid[:-1] + grid[1:]), inner))
-    hull_at = hull._limits(probe)[1]
-    curve_left, curve_at = curve._limits(probe)
-    above = hull_at - curve_at > tol
-    differs = above[:n]
+    qs, vs = curve.qs, curve.values
+    step = qs[1:] != qs[:-1]
+    firsts = np.flatnonzero(np.concatenate(([True], step)))  # first vertex at each distinct q
+    lasts = np.flatnonzero(np.concatenate((step, [True])))  # last vertex at each distinct q
+    grid = qs[firsts]
+    left, right = grid[:-1], grid[1:]  # the pieces' ends
+    n = len(left)
+    # the curve at every piece midpoint: a midpoint that rounds onto the
+    # piece's right end takes the value there, its right limit
+    mid = 0.5 * (left + right)
+    k, j = lasts[:-1], firsts[1:]
+    t = (mid - left) / (right - left)
+    curve_mid = np.where(mid == right, vs[lasts[1:]], vs[k] + t * (vs[j] - vs[k]))
+    # the hull at every piece midpoint, then at every inner grid point
+    hull_at = hull._limits(np.concatenate((mid, grid[1:-1])))[1]
+    differs = hull_at[:n] - curve_mid > tol
     # a differing piece extends the interval of the one before it unless
     # the hull touches a one-sided limit of the curve where they meet
-    joins = differs[:-1] & differs[1:] & above[n:] & (hull_at[n:] - curve_left[n:] > tol)
+    hull_inner = hull_at[n:]
+    joins = (
+        differs[:-1]
+        & differs[1:]
+        & (hull_inner - vs[lasts[1:-1]] > tol)
+        & (hull_inner - vs[firsts[1:-1]] > tol)
+    )
     apart = ~np.concatenate(([False], joins, [False]))  # piece boundaries no interval spans
-    lo = grid[:-1][differs & apart[:-1]]
-    hi = grid[1:][differs & apart[1:]]
+    lo = left[differs & apart[:-1]]
+    hi = right[differs & apart[1:]]
     return QuantileIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
 
 
@@ -288,11 +329,15 @@ def induced_curve(runs: PriceRuns, plan: IroningPlan) -> PiecewiseLinearCurve:
         t = tails[bisect_left(vals, x)]
         return t, x * t
 
+    # v is unironed when it lies at or above the end of the last interval
+    # that starts at or below it; a sentinel interval lies below every price
+    starts = [-np.inf, *(lo for lo, _ in plan.intervals)]
+    ends = [-np.inf, *(hi for _, hi in plan.intervals)]
     regions = [(lo, point(hi), point(lo)) for lo, hi in plan.intervals]
     regions += [
         (v, (tails[j + 1], v * tails[j + 1]), (tails[j], v * tails[j]))
         for j, v in enumerate(vals)
-        if v >= plan.reserve and not any(lo <= v < hi for lo, hi in plan.intervals)
+        if v >= plan.reserve and v >= ends[bisect_right(starts, v) - 1]
     ]
     regions.sort(reverse=True)  # the lowest prices v and lo are distinct
     tail_r, rev_r = point(plan.reserve)

@@ -156,13 +156,20 @@ def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
+
+    def index(probs: np.ndarray) -> np.ndarray:
+        # the draw Generator.choice(len(probs), count, p=probs) makes, bit
+        # for bit, without its checks of p: the laws are checked when built
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(rng.random(count), side="right")
+
     if dist.is_discrete:
         vals, probs, _ = dist._atom_arrays
-        return rng.choice(vals, size=count, p=probs)
+        return vals[index(probs)]
     los = np.array([lo for lo, _, _ in dist.components])
     his = np.array([hi for _, hi, _ in dist.components])
-    ws = np.array([w for _, _, w in dist.components])
-    idx = rng.choice(len(ws), size=count, p=ws)
+    idx = index(np.array([w for _, _, w in dist.components]))
     u = rng.uniform(size=count)
     return los[idx] + u * (his[idx] - los[idx])
 

@@ -22,6 +22,7 @@ from .curves import (
     PriceRuns,
     argmax_quantile,
     concave_envelope,
+    curve_from_price_runs,
     difference_intervals,
     induced_curve,
     price_left_of_runs,
@@ -118,8 +119,6 @@ def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     value space through the price level just below each quantile, all
     found in one search of the run edges.
     """
-    from .curves import curve_from_price_runs
-
     curve = curve_from_price_runs(runs)
     hull = concave_envelope(curve)
     gaps = difference_intervals(curve, hull, tol=1e-9 * h_max)
@@ -145,6 +144,8 @@ def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if not math.isfinite(h_max):
+        raise ValueError(f"h_max must be finite, got {h_max}")
     if isinstance(samples, EmpiricalQuantile):
         if samples.h_max != h_max:
             raise ValueError(f"quantile bound {samples.h_max} is not h_max {h_max}")
@@ -171,10 +172,16 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
         raise ValueError("n must be >= 1")
     if gamma < 1.0:
         raise ValueError("gamma must be >= 1")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if not math.isfinite(h_max):
+        raise ValueError(f"h_max must be finite, got {h_max}")
     raw = (math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2
     return math.ceil(raw)
 
 
 def loss_bound(m: int, delta: float, n: int, h_max: float) -> float:
     """High-probability additive revenue-loss bound 3 * n * H * epsilon."""
+    if not math.isfinite(h_max):
+        raise ValueError(f"h_max must be finite, got {h_max}")
     return 3.0 * n * h_max * dkw_epsilon(m, delta)

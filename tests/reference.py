@@ -39,10 +39,17 @@ def eval_quantile(eq, x: float) -> float:
     return float(np.repeat(eq.values, eq.counts)[k - 1])
 
 
-def scalar_evaluate(curve: PiecewiseLinearCurve, q: float) -> float:
-    """Value at q by bisection over the vertex list; the right limit at a jump."""
+def _vertex_list(curve: PiecewiseLinearCurve) -> tuple:
+    """The vertices and their q's, as lists for bisection."""
     verts = curve.vertices
-    qs = [qv for qv, _ in verts]
+    return verts, [qv for qv, _ in verts]
+
+
+def scalar_evaluate(curve: PiecewiseLinearCurve, q: float, vertex_list=None) -> float:
+    """Value at q by bisection over the vertex list; the right limit at a
+    jump.  ``vertex_list`` is ``_vertex_list(curve)``, read once by callers
+    that probe one curve many times."""
+    verts, qs = vertex_list or _vertex_list(curve)
     i = bisect_right(qs, q) - 1
     qi, vi = verts[i]
     if qi == q or i == len(qs) - 1:
@@ -51,10 +58,9 @@ def scalar_evaluate(curve: PiecewiseLinearCurve, q: float) -> float:
     return vi + (q - qi) / (qj - qi) * (vj - vi)
 
 
-def scalar_left_value(curve: PiecewiseLinearCurve, q: float) -> float:
+def scalar_left_value(curve: PiecewiseLinearCurve, q: float, vertex_list=None) -> float:
     """Limit from the left at q by bisection over the vertex list."""
-    verts = curve.vertices
-    qs = [qv for qv, _ in verts]
+    verts, qs = vertex_list or _vertex_list(curve)
     i = bisect_left(qs, q)
     if i < len(qs) and qs[i] == q:
         return verts[i][1]
@@ -106,15 +112,16 @@ def gap_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: 
     pieces that meet where the hull stays above both one-sided limits of
     the curve join into one interval."""
     grid = sorted(set(curve.qs.tolist()) | set(hull.qs.tolist()))
+    cv, hv = _vertex_list(curve), _vertex_list(hull)
     pieces = []
     for q0, q1 in zip(grid, grid[1:]):
         mid = 0.5 * (q0 + q1)
-        if scalar_evaluate(hull, mid) - scalar_evaluate(curve, mid) > tol:
+        if scalar_evaluate(hull, mid, hv) - scalar_evaluate(curve, mid, cv) > tol:
             pieces.append((q0, q1))
     out = []
     for a, b in pieces:
-        upper = max(scalar_left_value(curve, a), scalar_evaluate(curve, a))
-        if out and out[-1][1] == a and scalar_evaluate(hull, a) - upper > tol:
+        upper = max(scalar_left_value(curve, a, cv), scalar_evaluate(curve, a, cv))
+        if out and out[-1][1] == a and scalar_evaluate(hull, a, hv) - upper > tol:
             out[-1] = (out[-1][0], b)
         else:
             out.append((a, b))

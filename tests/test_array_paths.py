@@ -2,7 +2,8 @@
 
 Every stage from samples to plan must give the same floats as the loop
 it replaced: price runs, curve vertices, hull vertices, gap intervals,
-the prices read back at quantiles, and the plan itself.
+the prices read back at quantiles, and the plan itself.  Curves of more
+than 64 distinct points also pass through the hull's pruning passes.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from myerson_lab.curves import (
     PiecewiseLinearCurve,
+    _prune_below_chords,
     concave_envelope,
     curve_from_price_runs,
     difference_intervals,
@@ -143,3 +145,69 @@ def test_hull_drops_collinear_vertices(vertices, hull):
     got = concave_envelope(curve)
     assert got.vertices == hull == hull_vertices(curve)
     assert difference_intervals(curve, got, 1e-9).intervals == gap_intervals(curve, got, 1e-9)
+
+
+TOLS = [0.0, 1e-9 * H, 1e-3]
+
+
+def _large_samples(rng, kind: str, m: int) -> np.ndarray:
+    if kind == "uniform":
+        return rng.uniform(0.0, H, m)
+    if kind == "rounded":
+        return np.round(rng.uniform(0.0, H, m), 2)  # ties on a 0.01 grid
+    return np.where(rng.random(m) < 0.7, rng.uniform(0.0, 2.0, m), rng.uniform(6.0, H, m))
+
+
+def _check_hull_and_gaps(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
+    hull = concave_envelope(curve)
+    assert hull.vertices == hull_vertices(curve)
+    for tol in TOLS:
+        assert difference_intervals(curve, hull, tol).intervals == gap_intervals(curve, hull, tol)
+    return hull
+
+
+@pytest.mark.parametrize("m", [2048, 20_000])
+@pytest.mark.parametrize("kind", ["mixture", "uniform", "rounded"])
+def test_pruned_hulls_and_gaps_match_the_loops(kind, m):
+    rng = seeded_rng(64, m, ["mixture", "uniform", "rounded"].index(kind))
+    eq = EmpiricalQuantile.from_samples(_large_samples(rng, kind, m), H)
+    eps = dkw_epsilon(m, 0.1)
+    for runs in (min_price_runs(eq, eps), max_price_runs(eq, eps)):
+        curve = curve_from_price_runs(runs)
+        assert len(curve.qs) > 4 * 64  # several pruning passes run
+        _check_hull_and_gaps(curve)
+
+
+def test_pruning_drops_collinear_dyadic_points_in_one_pass():
+    # a concave broken line on the q's k/1024 with corners at 1/4 and
+    # 3/4: every other vertex lies exactly on its neighbours' chord
+    qs = np.arange(1025) / 1024.0
+    vs = np.minimum(np.minimum(4.0 * qs, 0.75 + qs), 1.5)
+    assert _prune_below_chords(qs, vs)[0].tolist() == [0.0, 0.25, 0.75, 1.0]
+    hull = _check_hull_and_gaps(PiecewiseLinearCurve(qs, vs))
+    assert hull.vertices == ((0.0, 0.0), (0.25, 1.0), (0.75, 1.5), (1.0, 1.5))
+
+
+def test_pruning_keeps_every_point_of_a_strictly_concave_curve():
+    # an exact parabola on the q's k/256: each chord test is exact and negative
+    k = np.arange(257.0)
+    qs, vs = k / 256.0, k * (512.0 - k) / 65536.0
+    assert _prune_below_chords(qs, vs)[0].tolist() == qs.tolist()
+    curve = PiecewiseLinearCurve(qs, vs)
+    assert _check_hull_and_gaps(curve).vertices == curve.vertices
+
+
+@pytest.mark.parametrize("onto", ["left", "right"])
+def test_gap_midpoint_rounding_onto_a_jump_takes_its_right_limit(onto):
+    # two vertices one ulp apart whose midpoint rounds onto one of them,
+    # where the curve jumps down from 1 to 1/4
+    a = np.nextafter(0.5, 1.0) if onto == "right" else 0.5
+    b = np.nextafter(a, 1.0)
+    at = b if onto == "right" else a
+    assert 0.5 * (a + b) == at
+    verts = [(0.0, 0.0), (a, 1.0), (b, 1.0), (1.0, 0.25)]
+    verts.insert(verts.index((at, 1.0)) + 1, (at, 0.25))
+    curve = PiecewiseLinearCurve.from_vertices(verts)
+    hull = _check_hull_and_gaps(curve)
+    for tol in TOLS:
+        assert difference_intervals(curve, hull, tol).intervals[0] == (float(a), float(b))

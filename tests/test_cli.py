@@ -235,13 +235,24 @@ ARRAY = "[1, 2]"
         ('{"type": "uniform_mixture", "h_max": 10, "components": [{"lo": 0, "hi": 10, "weight": NaN}]}',
          ["eval", "--dist", "bad.json", "--env", "e.json", "--plan", "p.json", "--method", "mc"],
          "weight must be finite, got nan"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "2", "--gamma", "inf", "--h-max", "10"],
+         "gamma must be finite, got inf"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "2", "--gamma", "nan", "--h-max", "10"],
+         "gamma must be finite, got nan"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "2", "--h-max", "inf"],
+         "h_max must be finite, got inf"),
+        (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", "2", "--h-max", "nan"],
+         "h_max must be finite, got nan"),
+        ("1.0\n2.5\n", ["learn", "--samples", "bad.json", "--delta", "0.1", "--h-max", "inf", "--out", "plan.json"],
+         "h_max must be finite, got inf"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
         "atoms_arrays", "atoms_object", "atom_value_string", "components_arrays", "weights_scalar",
         "weights_null_entry", "blocks_scalar", "capacities_scalar", "block_id_string", "intervals_arrays",
         "intervals_object", "reserve_array", "matroid_kind_unknown", "weights_nan", "weights_infinity",
-        "weights_beyond_float", "atom_prob_nan", "component_weight_nan",
+        "weights_beyond_float", "atom_prob_nan", "component_weight_nan", "gamma_inf", "gamma_nan",
+        "samples_h_max_inf", "bound_h_max_nan", "learn_h_max_inf",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):
