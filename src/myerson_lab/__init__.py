@@ -8,7 +8,6 @@ guarantees against exact oracles.
 
 from .curves import (
     PiecewiseLinearCurve,
-    QuantileIntervalSet,
     argmax_quantile,
     concave_envelope,
     difference_intervals,

@@ -5,16 +5,16 @@ arrays, the vertex quantiles ``qs`` and their ``values``.  It may carry
 jump discontinuities, stored as two vertices sharing one q: first the
 left limit, then the value taken at the point (which equals the right
 limit; evaluation is right-continuous at jumps).  Every evaluation takes
-one quantile or an array of them.  Revenue curves q * price(q) are built
-from ``PriceRuns``, two arrays of run edges and run prices.  The concave
-envelope prunes, in whole-array passes, the points that lie on or below
-the chord of their neighbours, then runs a monotone chain over the rest;
-its vertices are vertices of the curve, so the intervals where the curve
-differs from it are read off the curve's own vertices and piece
-midpoints, in linear passes.  One construction,
-``induced_curve``, applies an ironing plan to price runs: every ironing
-chord and reserve plateau, for the true law and for the confidence
-curves alike, comes from it.
+one quantile or an array of them.  Revenue curves q * price(q) come from
+``PriceRuns``, two arrays of run edges and run prices; on the merged
+runs' edges the curve's one-sided limits are the edge times the prices
+either side, and it is linear in between.  The concave envelope prunes,
+in whole-array passes, the points on or below the chord of their
+neighbours, then runs a monotone chain over the rest; the gap scan reads
+each grid piece's hull segment off a count of hull vertices.  The
+learner runs the same chain and scan on price-run arrays.  One
+construction, ``induced_curve``, applies an ironing plan to price runs:
+every ironing chord and reserve plateau comes from it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PiecewiseLinearCurve",
     "PriceRuns",
-    "QuantileIntervalSet",
     "concave_envelope",
     "difference_intervals",
     "argmax_quantile",
@@ -116,28 +115,6 @@ class PiecewiseLinearCurve:
         return _float_or_array(self._limits(q)[0])
 
 
-@dataclass(frozen=True)
-class QuantileIntervalSet:
-    """Disjoint open quantile intervals, sorted ascending."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        prev = -1.0
-        for a, b in self.intervals:
-            if not (0.0 <= a < b <= 1.0):
-                raise ValueError(f"bad quantile interval ({a}, {b})")
-            if a < prev:
-                raise ValueError("quantile intervals must be sorted and disjoint")
-            prev = b
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)
-
-
 @dataclass(frozen=True, eq=False)
 class PriceRuns:
     """Contiguous constant-price runs covering the quantiles [0, 1].
@@ -170,6 +147,19 @@ class PriceRuns:
         return len(self.prices)
 
 
+def _run_grid(runs: PriceRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid of q * price(q): 0, the inner edges of the runs once empty
+    ones are dropped and those of one price merged, and 1; with the price
+    just below each point (the first run's at q = 0, which a first run of
+    zero width still names) and just above it (the last at q = 1)."""
+    q0, q1, p = runs.edges[:-1], runs.edges[1:], runs.prices
+    keep = q1 > q0
+    q0, p = q0[keep], p[keep]
+    opens = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))  # runs that open a new price
+    price = p[opens]
+    return np.append(q0[opens], 1.0), np.concatenate((runs.prices[:1], price)), np.append(price, price[-1])
+
+
 def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
     """Build q * price(q) from contiguous constant-price runs on [0, 1].
 
@@ -177,16 +167,8 @@ def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
     change at a boundary q becomes a jump pair (q, q*price_left),
     (q, q*price_right).
     """
-    q0, q1, p = runs.edges[:-1], runs.edges[1:], runs.prices
-    keep = q1 > q0
-    q0, p = q0[keep], p[keep]
-    change = (p[1:] != p[:-1]).nonzero()[0] + 1  # runs that open a new price
-    b, price = q0[change], p[np.concatenate(([0], change))]  # the merged runs' inner edges and prices
-    qs = np.concatenate(([0.0], np.repeat(b, 2), [1.0]))
-    values = np.empty_like(qs)
-    values[0], values[-1] = 0.0, price[-1]
-    values[1:-1:2], values[2:-1:2] = b * price[:-1], b * price[1:]
-    return PiecewiseLinearCurve(qs, values)
+    qs, left, right = _run_grid(runs)
+    return PiecewiseLinearCurve(np.repeat(qs, 2)[1:-1], np.stack((qs * left, qs * right), 1).reshape(-1)[1:-1])
 
 
 def price_left_of_runs(runs: PriceRuns, q):
@@ -215,27 +197,15 @@ def _prune_below_chords(qs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.
     return qs, vs
 
 
-def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
-    """Least concave majorant: the upper hull of the vertex set.
+def _hull_indices(qs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Positions of the upper hull's vertices among two or more points
+    whose qs rise strictly.
 
-    Jump curves contribute both one-sided limit vertices, so the hull
-    majorizes the curve everywhere, including at discontinuities.  On
-    large curves, whole-array passes first drop the points on or below
-    their neighbours' chord (about half per pass on a sampled revenue
-    curve); a monotone chain picks the hull from the rest, so every hull
-    vertex is a curve vertex.
+    After the pruning passes, a monotone chain pops the last hull point
+    a while it lies on or below the chord from the one before it, o, to
+    the new point.  The hull is the list sq followed by o and a.
     """
-    # Collapse each jump pair to its higher vertex (the first one on a
-    # tie); the lower one is never on the upper hull.
-    qs, vs = curve.qs, curve.values
-    pair = qs[1:] == qs[:-1]  # vertex i + 1 sits at vertex i's q
-    top = np.concatenate((np.where(pair & (vs[1:] > vs[:-1]), vs[1:], vs[:-1]), vs[-1:]))
-    first = np.concatenate(([True], ~pair))
-    qs, vs = _prune_below_chords(qs[first], top[first])
-    # Monotone chain: pop the last hull point a while it lies on or below
-    # the chord from the one before it, o, to the new point.  The hull is
-    # the lists sq, sv followed by o and a, which live in locals.
-    points = zip(qs.tolist(), vs.tolist())
+    points = zip(*(a.tolist() for a in _prune_below_chords(qs, vs)))
     (oq, ov), (aq, av) = next(points), next(points)
     sq, sv = [], []
     for q, v in points:
@@ -248,51 +218,71 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
             sv.append(ov)
             oq, ov = aq, av
         aq, av = q, v
-    return PiecewiseLinearCurve(np.array(sq + [oq, aq]), np.array(sv + [ov, av]))
+    return qs.searchsorted(sq + [oq, aq])
 
 
-def difference_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: float) -> QuantileIntervalSet:
-    """Maximal open intervals where hull - curve exceeds tol.
-
-    ``hull`` must be ``concave_envelope(curve)``, so that its vertices
-    are vertices of the curve.  The grid is then the curve's distinct
-    quantiles: the curve's one-sided limits there are its vertex values,
-    and at each piece's midpoint its value is interpolated as
-    ``evaluate`` does, from the last vertex at the piece's left end to
-    the first at its right end.  A breakpoint where the hull touches
-    either one-sided limit of the curve splits adjacent gap regions: the
-    hull is linear across each returned interval, so ironing by chords
-    reproduces it exactly.
-    """
+def _curve_grid(curve: PiecewiseLinearCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The curve's distinct quantiles, with its left and right limits there."""
     qs, vs = curve.qs, curve.values
     step = qs[1:] != qs[:-1]
     firsts = np.flatnonzero(np.concatenate(([True], step)))  # first vertex at each distinct q
     lasts = np.flatnonzero(np.concatenate((step, [True])))  # last vertex at each distinct q
-    grid = qs[firsts]
-    left, right = grid[:-1], grid[1:]  # the pieces' ends
-    n = len(left)
-    # the curve at every piece midpoint: a midpoint that rounds onto the
-    # piece's right end takes the value there, its right limit
-    mid = 0.5 * (left + right)
-    k, j = lasts[:-1], firsts[1:]
-    t = (mid - left) / (right - left)
-    curve_mid = np.where(mid == right, vs[lasts[1:]], vs[k] + t * (vs[j] - vs[k]))
-    # the hull at every piece midpoint, then at every inner grid point
-    hull_at = hull._limits(np.concatenate((mid, grid[1:-1])))[1]
-    differs = hull_at[:n] - curve_mid > tol
+    return qs[firsts], vs[firsts], vs[lasts]
+
+
+def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
+    """Least concave majorant: the upper hull of the vertex set.
+
+    Jump curves contribute the higher of their one-sided limits, so the
+    hull majorizes the curve everywhere, including at discontinuities;
+    the learner's chain picks it, so every hull vertex is a curve vertex.
+    """
+    qs, left, right = _curve_grid(curve)
+    top = np.maximum(left, right)
+    hull = _hull_indices(qs, top)
+    return PiecewiseLinearCurve(qs[hull], top[hull])
+
+
+def _gap_ends(qs, left, right, hull, hv, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid positions where the maximal open intervals with hull - curve
+    above tol start and end.
+
+    The curve's left and right limits at grid point i are ``left[i]``
+    and ``right[i]``, and it is linear between grid points.  The hull has
+    its vertices at the grid positions ``hull``, with values ``hv``, so
+    the pieces under each hull segment are counted off, with no search.
+    Both are compared at every piece's midpoint, the curve interpolated
+    as ``evaluate`` does; a midpoint that rounds onto the piece's right
+    end takes the right limit there.  A breakpoint where the hull touches
+    either one-sided limit of the curve splits adjacent gap pieces: the
+    hull is linear across each interval, so ironing by chords reproduces
+    it exactly.
+    """
+    width = np.diff(hull)  # the grid pieces under each hull segment
+    hq = qs[hull]
+    q0, v0 = np.repeat(hq[:-1], width), np.repeat(hv[:-1], width)
+    dq, dv = np.repeat(np.diff(hq), width), np.repeat(np.diff(hv), width)
+    lo, hi = qs[:-1], qs[1:]  # the pieces' ends
+    hull_at = np.append(v0 + (lo - q0) / dq * dv, hv[-1])  # at every grid point, exact at hull vertices
+    mid = 0.5 * (lo + hi)
+    onto = mid == hi
+    curve_mid = np.where(onto, right[1:], right[:-1] + (mid - lo) / (hi - lo) * (left[1:] - right[:-1]))
+    differs = np.where(onto, hull_at[1:], v0 + (mid - q0) / dq * dv) - curve_mid > tol
     # a differing piece extends the interval of the one before it unless
     # the hull touches a one-sided limit of the curve where they meet
-    hull_inner = hull_at[n:]
-    joins = (
-        differs[:-1]
-        & differs[1:]
-        & (hull_inner - vs[lasts[1:-1]] > tol)
-        & (hull_inner - vs[firsts[1:-1]] > tol)
-    )
+    inner = hull_at[1:-1]
+    joins = differs[:-1] & differs[1:] & (inner - right[1:-1] > tol) & (inner - left[1:-1] > tol)
     apart = ~np.concatenate(([False], joins, [False]))  # piece boundaries no interval spans
-    lo = left[differs & apart[:-1]]
-    hi = right[differs & apart[1:]]
-    return QuantileIntervalSet(tuple(zip(lo.tolist(), hi.tolist())))
+    return np.flatnonzero(differs & apart[:-1]), np.flatnonzero(differs & apart[1:]) + 1
+
+
+def difference_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: float) -> tuple:
+    """Maximal open intervals, as sorted (a, b) pairs, where hull - curve
+    exceeds tol; ``hull`` must be ``concave_envelope(curve)``, so that
+    its vertices sit on the curve's grid."""
+    qs, left, right = _curve_grid(curve)
+    starts, ends = _gap_ends(qs, left, right, qs.searchsorted(hull.qs), hull.values, tol)
+    return tuple(zip(qs[starts].tolist(), qs[ends].tolist()))
 
 
 def argmax_quantile(curve: PiecewiseLinearCurve) -> float:

@@ -1,10 +1,11 @@
 """Learning an ironing plan from samples, plus sample-size calculators.
 
-The pipeline: build the pessimistic revenue curve from the empirical
-quantile function shifted down by the deviation radius, take its concave
-envelope, read the envelope-vs-curve gaps as quantile ironing intervals,
-map those (and the curve's argmax, the reserve quantile) back to value
-space, and canonicalize.
+The pipeline: the empirical quantile function, shifted down by the
+deviation radius, gives the price runs of the pessimistic revenue curve;
+the plan is read off the runs' arrays in one pass up to the curve's
+argmax, the reserve quantile: the gaps between the curve and its concave
+envelope are the quantile ironing intervals, and indexing the run prices
+maps them and the reserve quantile to value space.
 """
 
 from __future__ import annotations
@@ -15,18 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _hull_indices, _run_grid, induced_curve
 
-from .curves import (
-    PiecewiseLinearCurve,
-    PriceRuns,
-    argmax_quantile,
-    concave_envelope,
-    curve_from_price_runs,
-    difference_intervals,
-    induced_curve,
-    price_left_of_runs,
-)
+# unused here but bound: perfbench's traced pass patches these names
+from .curves import argmax_quantile, concave_envelope, difference_intervals, price_left_of_runs  # noqa: F401
 from .empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs
 from .environments import _json_list, _json_number, _json_object
 
@@ -114,18 +107,27 @@ class IroningPlan:
 def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     """Ironing plan read off a price-run curve q -> q * price(q).
 
-    Quantile ironing intervals are the gaps between the curve and its
-    concave envelope; endpoints (and the argmax reserve quantile) map to
-    value space through the price level just below each quantile, all
-    found in one search of the run edges.
+    Run prices fall, so the curve's upper limit at each grid point is the
+    quantile times the price just below it, and the first maximum of
+    those is the reserve quantile q*.  Only the points up to q* are kept:
+    the hull left of q* depends on them alone and touches the curve at
+    q*, and a gap beyond q* maps to an interval at or below the reserve,
+    which ``canonical`` prunes.  The gaps between the curve and its hull,
+    and q*, map to value space as the price just below each grid point.
+    Runs whose prices rise are refused.
     """
-    curve = curve_from_price_runs(runs)
-    hull = concave_envelope(curve)
-    gaps = difference_intervals(curve, hull, tol=1e-9 * h_max)
-    ends = np.array(gaps.intervals, dtype=float).reshape(-1)
-    prices = price_left_of_runs(runs, np.concatenate(([argmax_quantile(curve)], ends))).tolist()
-    reserve, his, los = prices[0], prices[1::2], prices[2::2]
-    return IroningPlan.canonical([(lo, hi) for lo, hi in zip(los, his) if lo < hi], reserve)
+    qs, left, right = _run_grid(runs)
+    if (left[2:] > left[1:-1]).any():
+        raise ValueError("run prices must be nonincreasing")
+    upper = qs * left
+    k = int(upper.argmax())  # the reserve quantile's grid position
+    intervals = []
+    if k > 1:  # a hull of two points leaves no gap
+        qs, upper = qs[: k + 1], upper[: k + 1]
+        hull = _hull_indices(qs, upper)
+        starts, ends = _gap_ends(qs, upper, qs * right[: k + 1], hull, upper[hull], 1e-9 * h_max)
+        intervals = [(lo, hi) for lo, hi in zip(left[ends].tolist(), left[starts].tolist()) if lo < hi]
+    return IroningPlan.canonical(intervals, left[k])
 
 
 def optimal_induced(runs: PriceRuns, h_max: float) -> PiecewiseLinearCurve:
@@ -176,12 +178,18 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not math.isfinite(h_max):
         raise ValueError(f"h_max must be finite, got {h_max}")
+    if h_max < 0.0:
+        raise ValueError(f"h_max must be >= 0, got {h_max}")
     raw = (math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2
     return math.ceil(raw)
 
 
 def loss_bound(m: int, delta: float, n: int, h_max: float) -> float:
     """High-probability additive revenue-loss bound 3 * n * H * epsilon."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not math.isfinite(h_max):
         raise ValueError(f"h_max must be finite, got {h_max}")
+    if h_max < 0.0:
+        raise ValueError(f"h_max must be >= 0, got {h_max}")
     return 3.0 * n * h_max * dkw_epsilon(m, delta)

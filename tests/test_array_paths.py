@@ -14,6 +14,7 @@ import pytest
 from myerson_lab.curves import (
     PiecewiseLinearCurve,
     _prune_below_chords,
+    argmax_quantile,
     concave_envelope,
     curve_from_price_runs,
     difference_intervals,
@@ -22,7 +23,7 @@ from myerson_lab.curves import (
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, max_price_runs, min_price_runs
 from myerson_lab.environments import Environment
-from myerson_lab.learner import compute_auction
+from myerson_lab.learner import IroningPlan, compute_auction, plan_from_price_runs
 from myerson_lab.oracle import expected_revenue_enum, optimal_plan, virtual_welfare_bound
 
 from conftest import seeded_rng
@@ -60,7 +61,7 @@ def _check_stages(rng, runs, want, tol):
     hull = concave_envelope(curve)
     assert hull.vertices == hull_vertices(curve)
     gaps = difference_intervals(curve, hull, tol)
-    assert gaps.intervals == gap_intervals(curve, hull, tol)
+    assert gaps == gap_intervals(curve, hull, tol)
     probes = [q for gap in gaps for q in gap] + [0.0, 1.0] + rng.uniform(0.0, 1.0, 5).tolist()
     assert price_left_of_runs(runs, probes).tolist() == [price_left_of_triples(want, q) for q in probes]
 
@@ -144,7 +145,7 @@ def test_hull_drops_collinear_vertices(vertices, hull):
     curve = PiecewiseLinearCurve.from_vertices(vertices)
     got = concave_envelope(curve)
     assert got.vertices == hull == hull_vertices(curve)
-    assert difference_intervals(curve, got, 1e-9).intervals == gap_intervals(curve, got, 1e-9)
+    assert difference_intervals(curve, got, 1e-9) == gap_intervals(curve, got, 1e-9)
 
 
 TOLS = [0.0, 1e-9 * H, 1e-3]
@@ -162,7 +163,7 @@ def _check_hull_and_gaps(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     hull = concave_envelope(curve)
     assert hull.vertices == hull_vertices(curve)
     for tol in TOLS:
-        assert difference_intervals(curve, hull, tol).intervals == gap_intervals(curve, hull, tol)
+        assert difference_intervals(curve, hull, tol) == gap_intervals(curve, hull, tol)
     return hull
 
 
@@ -210,4 +211,98 @@ def test_gap_midpoint_rounding_onto_a_jump_takes_its_right_limit(onto):
     curve = PiecewiseLinearCurve.from_vertices(verts)
     hull = _check_hull_and_gaps(curve)
     for tol in TOLS:
-        assert difference_intervals(curve, hull, tol).intervals[0] == (float(a), float(b))
+        assert difference_intervals(curve, hull, tol)[0] == (float(a), float(b))
+
+
+# The learner keeps only the grid up to the reserve quantile q*, the
+# first maximum of the curve; the reference loops scan the whole curve.
+
+
+def _learned_plan_matches_the_loops(runs, h_max: float = H):
+    plan = plan_from_price_runs(runs, h_max)
+    assert plan == plan_from_triples(triples(runs), h_max)
+    return plan
+
+
+def _optimal_plan_matches_the_loops(atoms):
+    dist = ValueDistribution.discrete(atoms, H)
+    plan = optimal_plan(dist)
+    assert plan == plan_from_triples(discrete_price_triples(dist), H)
+    return plan, curve_from_price_runs(dist.price_runs)
+
+
+@pytest.mark.parametrize("m", [1, 5, 40])
+def test_cut_at_q_zero_when_every_sample_is_zero(m):
+    eq = EmpiricalQuantile.from_samples(np.zeros(m), H)
+    for eps in (0.0, min(dkw_epsilon(m, 0.1), 0.5)):
+        plan = _learned_plan_matches_the_loops(min_price_runs(eq, eps))
+        assert plan == IroningPlan.empty()
+
+
+def test_cut_at_q_zero_keeps_the_price_a_zero_width_first_run_names():
+    # the law {0: 1, 5: 0} opens with a run of width 0 at price 5
+    plan, curve = _optimal_plan_matches_the_loops([(0.0, 1.0), (5.0, 0.0)])
+    assert argmax_quantile(curve) == 0.0
+    assert plan == IroningPlan.canonical([], 5.0)
+
+
+@pytest.mark.parametrize("m", [1, 5, 40])
+def test_cut_at_q_one_when_every_sample_is_h_max(m):
+    eq = EmpiricalQuantile.from_samples(np.full(m, H), H)
+    runs = min_price_runs(eq, 0.0)
+    assert argmax_quantile(curve_from_price_runs(runs)) == 1.0
+    assert _learned_plan_matches_the_loops(runs) == IroningPlan.canonical([], H)
+    _learned_plan_matches_the_loops(min_price_runs(eq, min(dkw_epsilon(m, 0.1), 0.5)))
+
+
+def test_cut_at_q_one_keeps_the_last_gap():
+    plan, curve = _optimal_plan_matches_the_loops([(1.0, 0.9), (5.0, 0.1)])
+    assert argmax_quantile(curve) == 1.0
+    assert plan == IroningPlan.canonical([(1.0, 5.0)], 1.0)
+
+
+@pytest.mark.parametrize(
+    "atoms, reserve",
+    [
+        ([(1.0, 0.5), (2.0, 0.25), (4.0, 0.25)], 4.0),  # revenue 1 at q = 1/4, 1/2 and 1
+        ([(1.0, 0.5), (2.0, 0.4), (3.0, 0.05), (10.0, 0.05)], 2.0),  # revenue 1 at q = 1/2 and 1, a gap before
+    ],
+)
+def test_one_maximum_at_two_quantiles_cuts_at_the_first(atoms, reserve):
+    plan, curve = _optimal_plan_matches_the_loops(atoms)
+    top = curve.values.max()
+    assert np.count_nonzero(curve.values == top) >= 2
+    assert plan.reserve == reserve
+
+
+def test_a_cut_leaving_two_points_drops_the_gap_beyond_it():
+    plan, curve = _optimal_plan_matches_the_loops([(1.0, 0.5), (5.0, 0.5)])
+    assert argmax_quantile(curve) == 0.5
+    assert difference_intervals(curve, concave_envelope(curve), 1e-9 * H) == ((0.5, 1.0),)
+    assert plan == IroningPlan.canonical([], 5.0)
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_a_late_cut_on_many_samples_runs_the_pruning_passes(decimals):
+    rng = seeded_rng(65, decimals or 0)
+    xs = rng.uniform(5.0, H, 12_000)  # revenue rises to q near 1
+    if decimals is not None:
+        xs = np.round(xs, decimals)
+    eq = EmpiricalQuantile.from_samples(xs, H)
+    runs = min_price_runs(eq, dkw_epsilon(len(xs), 0.1))
+    curve = curve_from_price_runs(runs)
+    q_star = argmax_quantile(curve)
+    assert q_star > 0.9
+    assert np.count_nonzero(np.unique(curve.qs) < q_star) > 4 * 64
+    assert _learned_plan_matches_the_loops(runs).intervals
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_learned_plans_match_the_loops_with_delta_near_one(seed):
+    rng = seeded_rng(66, seed)
+    delta = 1.0 - 1e-9
+    for _ in range(30):
+        xs = _samples(rng)
+        eq = EmpiricalQuantile.from_samples(xs, H)
+        want = plan_from_triples(min_price_triples(eq, dkw_epsilon(len(xs), delta)), H)
+        assert compute_auction(xs, delta, H) == want

@@ -243,6 +243,11 @@ ARRAY = "[1, 2]"
          "h_max must be finite, got inf"),
         (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", "2", "--h-max", "nan"],
          "h_max must be finite, got nan"),
+        (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", "-3", "--h-max", "10"], "n must be >= 1"),
+        (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", "2", "--h-max", "-1"],
+         "h_max must be >= 0, got -1.0"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "2", "--h-max", "-1"],
+         "h_max must be >= 0, got -1.0"),
         ("1.0\n2.5\n", ["learn", "--samples", "bad.json", "--delta", "0.1", "--h-max", "inf", "--out", "plan.json"],
          "h_max must be finite, got inf"),
     ],
@@ -252,7 +257,8 @@ ARRAY = "[1, 2]"
         "weights_null_entry", "blocks_scalar", "capacities_scalar", "block_id_string", "intervals_arrays",
         "intervals_object", "reserve_array", "matroid_kind_unknown", "weights_nan", "weights_infinity",
         "weights_beyond_float", "atom_prob_nan", "component_weight_nan", "gamma_inf", "gamma_nan",
-        "samples_h_max_inf", "bound_h_max_nan", "learn_h_max_inf",
+        "samples_h_max_inf", "bound_h_max_nan", "bound_n_negative", "bound_h_max_negative",
+        "samples_h_max_negative", "learn_h_max_inf",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

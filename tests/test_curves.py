@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from myerson_lab.curves import (
     PiecewiseLinearCurve,
     PriceRuns,
-    QuantileIntervalSet,
     argmax_quantile,
     concave_envelope,
     curve_from_price_runs,
@@ -163,7 +162,7 @@ def test_difference_intervals_concave_input_empty():
 def test_difference_intervals_example2():
     hull = concave_envelope(EX2_CURVE)
     gaps = difference_intervals(EX2_CURVE, hull, _tol(hull))
-    assert gaps.intervals == ((0.1, 1.0),)
+    assert gaps == ((0.1, 1.0),)
 
 
 def test_difference_intervals_example1():
@@ -171,7 +170,7 @@ def test_difference_intervals_example1():
     curve = PiecewiseLinearCurve.from_vertices(((0.0, 0.0), (1 / h, 1.0), (1 / h, 1 / h), (1.0, 1.0)))
     hull = concave_envelope(curve)
     gaps = difference_intervals(curve, hull, _tol(hull))
-    assert gaps.intervals == ((1 / h, 1.0),)
+    assert gaps == ((1 / h, 1.0),)
 
 
 def test_hull_equals_curve_outside_difference_intervals():
@@ -209,7 +208,7 @@ def test_argmax_quantile_cases():
 
 def test_induce_curve_identity():
     got = induced_matches_reference(EX2_RUNS, value_plan(EX2_RUNS, (), 1.0))
-    assert almost_equal(got, induce_curve(EX2_CURVE, QuantileIntervalSet(()), 1.0))
+    assert almost_equal(got, induce_curve(EX2_CURVE, (), 1.0))
     assert almost_equal(got, EX2_CURVE)
 
 
@@ -313,6 +312,8 @@ def test_induced_curve_refuses_rising_prices():
         induced_curve(rising, IroningPlan.empty())
     with pytest.raises(ValueError):
         optimal_induced(rising, 2.0)
+    with pytest.raises(ValueError):
+        plan_from_price_runs(rising, 2.0)
 
 
 def test_pointwise_gap_basic():

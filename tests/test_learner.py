@@ -134,12 +134,18 @@ def test_required_samples_values():
         required_samples_iid(0.2, 0.1, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         required_samples_iid(0.2, 0.1, 1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="h_max must be >= 0"):
+        required_samples_iid(0.2, 0.1, 1, 1.0, -1.0)
 
 
 def test_loss_bound_values():
     assert loss_bound(50, 2 / math.e, 1, 1.0) == pytest.approx(0.3, abs=1e-12)
     assert loss_bound(200, 0.05, 3, 10.0) == pytest.approx(8.6429, abs=5e-4)
     assert loss_bound(2_000_000, 0.1, 1, 1.0) < 3e-3
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        loss_bound(100, 0.1, 0, 1.0)
+    with pytest.raises(ValueError, match="h_max must be >= 0"):
+        loss_bound(100, 0.1, 1, -1.0)
 
 
 @settings(max_examples=60, deadline=None)
