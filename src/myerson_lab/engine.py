@@ -12,10 +12,13 @@ Payments follow the standard threshold integral of the bidder's
 single-bid allocation curve, which is piecewise constant with
 breakpoints only at the reserve, interval endpoints, and the other
 bidders' keys, so the integral is computed exactly piece by piece.
-All bidders share one sorted breakpoint list per profile, and each
-piece's allocation is read off the bidder's block by bisecting the
-sorted keys of its rivals.  The tests check this to the bit against a
-reference that re-runs ``allocate`` at every piece.
+All bidders share one sorted breakpoint list per profile.  Below a
+member's own key, its share on a piece depends only on the piece's key
+and the block's keys, not on which member it is, so each block keeps
+one running sum of those pieces, and a member's integral is the sum up
+to its own key plus, if ironed, its own share up to its bid: one walk
+of the breakpoints per block, not one per member.  The tests check this
+to the bit against a reference that re-runs ``allocate`` at every piece.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ def ironed_key(bid: float, plan: IroningPlan) -> float | None:
     endpoint if ironed, the bid itself otherwise."""
     if bid < plan.reserve:
         return None
-    for lo, hi in plan.intervals:
-        if lo <= bid < hi:
-            return lo
+    # the intervals are sorted and disjoint: only the last one starting at or below the bid can hold it
+    i = bisect_right(plan.starts, bid)
+    if i and bid < plan.intervals[i - 1][1]:
+        return plan.starts[i - 1]
     return bid
 
 
@@ -97,9 +101,18 @@ def _threshold_payments(
     The breakpoint list {0, reserve, interval endpoints, accepted keys}
     is shared: a bidder's own key is its bid or an interval's lower
     endpoint, so cutting the list at the bid gives exactly the bidder's
-    own breakpoints.  On a piece whose midpoint has key k, the bidder
-    ranks below the block rivals with keys above k and ties with those
-    at k, which is what ``allocate`` would compute.
+    own breakpoints.  Keys rise with the bid, so the pieces below a
+    member's own key k0 are a prefix of the list.  On such a piece with
+    key k the member ranks below the block rivals with keys above k and
+    ties with those at k, which is what ``allocate`` would compute: the
+    share ``sum(slots[pos:pos+t]) / t``, with pos = #(keys > k) - 1 and
+    t = #(keys = k) + 1, is the same for every member.  So ``below[j]``,
+    one running sum per block up to its top key, is every member's
+    integral over the first j pieces.  No breakpoint lies inside an
+    interval, so an ironed member's only other piece runs from k0 to its
+    bid at its own tied share, which is its allocation.  Each ``below``
+    adds the same terms in the same order as a per-member loop would, so
+    the payments keep every bit.
     """
     pts = {0.0, plan.reserve}
     for lo, hi in plan.intervals:
@@ -110,23 +123,23 @@ def _threshold_payments(
     payments = [0.0] * env.n
     for members, slots in env.blocks:
         block_keys = sorted(keys[i] for i in members if keys[i] is not None)
+        if not block_keys:
+            continue
+        top = bisect_left(pts, block_keys[-1])
+        below = [0.0]
+        for z0, z1, k in zip(pts[:top], pts[1 : top + 1], mid_keys):
+            integral = below[-1]
+            if k is not None:
+                at_most = bisect_right(block_keys, k)
+                pos = len(block_keys) - at_most - 1
+                t = at_most - bisect_left(block_keys, k) + 1
+                integral += sum(slots[pos : pos + t]) / t * (z1 - z0)
+            below.append(integral)
         for i in members:
             if alloc[i] == 0.0:
                 continue
             b, own = bids[i], keys[i]
-            cut = bisect_right(pts, b)
-            pieces = list(zip(pts[: cut - 1], pts[1:cut], mid_keys))
-            if pts[cut - 1] < b:
-                pieces.append((pts[cut - 1], b, ironed_key(0.5 * (pts[cut - 1] + b), plan)))
-            integral = 0.0
-            for z0, z1, k in pieces:
-                if k is None:
-                    continue
-                at_most = bisect_right(block_keys, k)
-                pos = len(block_keys) - at_most - (own > k)
-                t = at_most - bisect_left(block_keys, k) - (own == k) + 1
-                integral += sum(slots[pos : pos + t]) / t * (z1 - z0)
-            payments[i] = b * alloc[i] - integral
+            payments[i] = b * alloc[i] - (below[bisect_left(pts, own)] + alloc[i] * (b - own))
     return payments
 
 

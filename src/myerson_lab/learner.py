@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _hull_indices, _run_grid, induced_curve
@@ -94,6 +95,11 @@ class IroningPlan:
             [(_json_number(iv["lo"], "lo"), _json_number(iv["hi"], "hi")) for iv in intervals],
             _json_number(spec["reserve"], "reserve"),
         )
+
+    @cached_property
+    def starts(self) -> tuple[float, ...]:
+        """The intervals' lower endpoints, ascending, for bisection."""
+        return tuple(lo for lo, _ in self.intervals)
 
     def to_json(self) -> str:
         return json.dumps(

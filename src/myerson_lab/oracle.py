@@ -3,8 +3,11 @@
 Three independent revenue oracles: closed-form quadrature of the plan's
 induced revenue curve against each rank block's interim allocation,
 exhaustive enumeration of each rank block's member multisets through the
-engine, and seeded Monte Carlo.  Quadrature values every plan exactly
-and costs one vectorised pass per block, so the additive loss (and the
+engine, and seeded Monte Carlo.  A bid below the reserve gets no key,
+pays nothing and moves no breakpoint, so a profile's total depends only
+on each block's sorted bids at or above the reserve: enumeration and
+Monte Carlo price each such profile once.  Quadrature values every plan
+exactly and costs one vectorised pass per block, so the additive loss (and the
 no-regret loop's per-round loss) is priced by it; enumeration stays the
 independent check it must agree with to float precision.  A fourth
 figure, the discrete virtual-welfare bound, caps the revenue of every
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,9 +96,10 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
 
     A block's payments depend only on its own exchangeable members, so it
     is enumerated alone, as the position auction of its slots, over the
-    C(s+n_b-1, n_b) multisets of its n_b members; the guard counts the
-    bids those multisets price, n_b per multiset, over all blocks, and a
-    block whose multinomial weights overflow a float is refused."""
+    C(s+n_b-1, n_b) multisets of its n_b members; the guard counts n_b
+    bids per multiset over all blocks, and a block whose multinomial
+    weights overflow a float is refused.  Multisets that differ only
+    below the reserve share one priced total."""
     _require_discrete(dist, "expected_revenue_enum")
     # every bidder is priced at least once: refuse huge n before building blocks
     if env.n > _ENUM_GUARD:
@@ -107,23 +112,32 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
         _refuse_float_overflow(len(members), s)
     vals = [v for v, _ in dist.atoms]
     probs = [p for _, p in dist.atoms]
+    first = bisect_left(vals, plan.reserve)  # atoms from here up are accepted
     totals = []
     for _, slots in env.blocks:
         n = len(slots)
         block = Environment.position(slots, n)
         fact_n = math.factorial(n)
         terms = []
-        for combo in itertools.combinations_with_replacement(range(s), n):
-            counts: dict[int, int] = {}
-            for i in combo:
-                counts[i] = counts.get(i, 0) + 1
-            weight = fact_n
-            for i, c in counts.items():
-                weight = weight // math.factorial(c)
-            weight *= math.prod(probs[i] ** c for i, c in counts.items())
-            if weight == 0.0:
-                continue
-            terms.append(weight * _profile_payment(block, plan, [vals[i] for i in combo]))
+        # each multiset once, as its atoms at or above the reserve (high) plus
+        # those below it; fsum is correctly rounded, so the order of terms is free
+        highs = (itertools.combinations_with_replacement(range(first, s), j) for j in range(n + 1))
+        for high in itertools.chain.from_iterable(highs):
+            total = None
+            for low in itertools.combinations_with_replacement(range(first), n - len(high)):
+                combo = low + high
+                counts: dict[int, int] = {}
+                for i in combo:
+                    counts[i] = counts.get(i, 0) + 1
+                weight = fact_n
+                for i, c in counts.items():
+                    weight = weight // math.factorial(c)
+                weight *= math.prod(probs[i] ** c for i, c in counts.items())
+                if weight == 0.0:
+                    continue
+                if total is None:
+                    total = _profile_payment(block, plan, [vals[i] for i in combo])
+                terms.append(weight * total)
         totals.append(math.fsum(terms))
     return RevenueReport(expected_revenue=math.fsum(totals), method="enumeration")
 
@@ -178,11 +192,28 @@ def expected_revenue_quadrature(
 def expected_revenue_mc(
     dist: ValueDistribution, env: Environment, plan: IroningPlan, trials: int, seed
 ) -> RevenueReport:
-    """Monte Carlo expected revenue over seeded i.i.d. profiles."""
+    """Monte Carlo expected revenue over seeded i.i.d. profiles.
+
+    A profile's total is the correctly rounded ``fsum`` of its payments,
+    and a payment depends only on the bidder's own bid, its block's
+    accepted bids and the profile's set of keys.  So draws whose blocks
+    hold the same sorted bids at or above the reserve have the same total
+    to the bit: each distinct profile is priced once, and the totals keep
+    the draw order.  The guard refuses more than 1e7 drawn bids before
+    any is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials * env.n > _ENUM_GUARD:
+        raise GuardError(f"{trials * env.n} Monte Carlo bids exceed the sampling guard")
     draws = sample(dist, trials * env.n, seed).reshape(trials, env.n)
-    totals = [_profile_payment(env, plan, list(row)) for row in draws]
+    priced: dict[tuple, float] = {}
+    totals = []
+    for row in draws:
+        bids = row.tolist()
+        profile = tuple(tuple(sorted(bids[i] for i in members if bids[i] >= plan.reserve)) for members, _ in env.blocks)
+        if profile not in priced:
+            priced[profile] = _profile_payment(env, plan, bids)
+        totals.append(priced[profile])
     mean = math.fsum(totals) / trials
     if trials > 1:
         var = math.fsum((t - mean) ** 2 for t in totals) / (trials - 1)

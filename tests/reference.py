@@ -3,8 +3,10 @@
 They are plain, slow, scalar restatements of what the package computes
 with arrays, plus a matroid's independence oracle read from its JSON and
 greedy selection with it, the brute force that ``Environment.blocks`` is
-checked against, the threshold payment that re-runs ``allocate`` on
-every piece of the bid line, and the k-unit interim
+checked against, the rank key by a scan of every interval, the threshold
+payment that re-runs ``allocate`` on every piece of the bid line,
+enumeration and Monte Carlo revenue that price every multiset and every
+draw, and the k-unit interim
 allocation with its integral and derivative, the k-by-k form of the
 Bernstein mixture that revenue quadrature evaluates per block, the
 no-regret loop that relearns from one growing array of every bid, and
@@ -13,9 +15,11 @@ the vertex-by-vertex ironing walk in quantile space that the package's
 in the package calls them.
 """
 
+import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -23,10 +27,11 @@ import numpy as np
 from myerson_lab.curves import PiecewiseLinearCurve, PriceRuns
 from myerson_lab.distributions import sample
 from myerson_lab.empirical import dkw_epsilon
-from myerson_lab.engine import allocate, ironed_key
+from myerson_lab.engine import allocate, interim_payments, ironed_key
+from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.online import RegretTrace, RoundRecord
-from myerson_lab.oracle import expected_revenue_quadrature, optimal_plan
+from myerson_lab.oracle import RevenueReport, expected_revenue_quadrature, optimal_plan
 
 
 def eval_quantile(eq, x: float) -> float:
@@ -349,6 +354,16 @@ def greedy_max_weight(env, weights, priority) -> set:
     return chosen
 
 
+def ironed_key_scan(bid: float, plan: IroningPlan) -> float | None:
+    """``ironed_key`` by testing the bid against every interval in turn."""
+    if bid < plan.reserve:
+        return None
+    for lo, hi in plan.intervals:
+        if lo <= bid < hi:
+            return lo
+    return bid
+
+
 def myerson_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
     """Threshold-integral payment for one bidder, computed exactly.
 
@@ -374,6 +389,37 @@ def myerson_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
         probe[bidder] = 0.5 * (z0 + z1)
         integral += allocate(env, plan, probe)[bidder] * (z1 - z0)
     return b_i * alloc_at_bid - integral
+
+
+def enum_revenue_uncached(dist, env, plan: IroningPlan) -> float:
+    """``expected_revenue_enum``'s sum, pricing every multiset of every
+    block with the same multinomial weight arithmetic."""
+    vals, probs = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
+    totals = []
+    for _, slots in env.blocks:
+        n = len(slots)
+        block = Environment.position(slots, n)
+        terms = []
+        for combo in itertools.combinations_with_replacement(range(len(vals)), n):
+            counts = Counter(combo)  # first-seen order, as the oracle's dict
+            weight = math.factorial(n)
+            for c in counts.values():
+                weight = weight // math.factorial(c)
+            weight *= math.prod(probs[i] ** c for i, c in counts.items())
+            if weight != 0.0:
+                terms.append(weight * math.fsum(interim_payments(block, plan, [vals[i] for i in combo])))
+        totals.append(math.fsum(terms))
+    return math.fsum(totals)
+
+
+def mc_revenue_uncached(dist, env, plan: IroningPlan, trials: int, seed) -> RevenueReport:
+    """``expected_revenue_mc`` pricing every draw, repeated profiles
+    included, from the same seeded draws."""
+    draws = sample(dist, trials * env.n, seed).reshape(trials, env.n)
+    totals = [math.fsum(interim_payments(env, plan, list(row))) for row in draws]
+    mean = math.fsum(totals) / trials
+    stderr = math.sqrt(math.fsum((t - mean) ** 2 for t in totals) / (trials - 1) / trials) if trials > 1 else 0.0
+    return RevenueReport(expected_revenue=mean, method="monte_carlo", stderr=stderr, trials=trials)
 
 
 def interim_allocation_derivative_kunit(q: float, k: int, n: int) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from myerson_lab import oracle
 from myerson_lab.cli import (
     EXAMPLES_IRONING_HEADER,
     LOSS_HEADER,
@@ -180,6 +181,15 @@ def test_eval_exits_3_when_a_block_overflows_a_float(workdir, capsys):
     big_env.write_text('{"type":"single_item","n":1029}')
     assert main(["eval", "--dist", str(workdir / "d.json"), "--env", str(big_env), "--plan", str(plan), "--method", "quad"]) == 0
     assert json.loads(capsys.readouterr().out)["expected_revenue"] == pytest.approx(5.0, abs=1e-12)
+
+
+def test_eval_mc_refuses_huge_trials_before_drawing(workdir, capsys, monkeypatch):
+    # 3 bidders times 1e12 trials; the guard refuses before any bid is drawn
+    monkeypatch.setattr(oracle, "sample", lambda *args: pytest.fail("drew bids past the guard"))
+    (workdir / "p.json").write_text('{"reserve": 1.0, "intervals": []}')
+    args = ["eval", "--dist", str(workdir / "d.json"), "--env", str(workdir / "e.json"), "--plan", str(workdir / "p.json")]
+    assert main([*args, "--method", "mc", "--trials", str(10**12)]) == 3
+    assert capsys.readouterr().err == "guard violation: 3000000000000 Monte Carlo bids exceed the sampling guard\n"
 
 
 ARRAY = "[1, 2]"

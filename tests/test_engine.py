@@ -8,7 +8,7 @@ from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan
 
 from conftest import random_aligned_plan, random_discrete, random_slot_env
-from reference import myerson_payment, total_interim_payment
+from reference import ironed_key_scan, myerson_payment, total_interim_payment
 
 EX2_PLAN = IroningPlan(intervals=((1.0, 5.0),), reserve=1.0)
 SINGLE10 = Environment.single_item(10)
@@ -19,6 +19,27 @@ def test_ironed_key():
     assert ironed_key(5.0, EX2_PLAN) == 5.0
     assert ironed_key(0.5, EX2_PLAN) is None
     assert ironed_key(2.0, IroningPlan.empty()) == 2.0
+
+
+def test_ironed_key_bisects_as_a_scan_does():
+    # bids at every lo and hi (touching intervals share one), at the
+    # reserve, between intervals, just either side of each endpoint and
+    # beyond the last interval, on plans of 0 to 120 intervals
+    rng = np.random.default_rng(31)
+    for count in (0, 1, 2, 3, 7, 30, 120):
+        for _ in range(4):
+            points = np.unique(rng.uniform(0.0, 100.0, size=2 * count + 1)).tolist()
+            # a third of the intervals reach the next one's lo
+            intervals = tuple(
+                (lo, nxt if rng.random() < 0.3 and nxt < math.inf else hi)
+                for lo, hi, nxt in zip(points[1::2], points[2::2], points[3::2] + [math.inf])
+            )
+            plan = IroningPlan(intervals, float(rng.choice([0.0, *points[:2]])))
+            ends = [e for iv in plan.intervals for e in iv]
+            bids = [0.0, plan.reserve, *points, *ends, *rng.uniform(0.0, 110.0, size=20).tolist()]
+            bids += [math.nextafter(e, d) for e in ends for d in (-math.inf, math.inf)]
+            for b in bids:
+                assert ironed_key(b, plan) == ironed_key_scan(b, plan), (b, plan)
 
 
 def test_allocate_example2_lone_high_bidder():
@@ -282,6 +303,42 @@ def test_interim_payments_equal_reference_on_corpus():
         endpoints = [e for iv in plan.intervals for e in iv]
         special = [0.0, plan.reserve, *endpoints, *grid, float(rng.uniform(0.0, 8.0))]
         bids = [float(rng.choice(special)) for _ in range(env.n)]
+        pays = interim_payments(env, plan, bids)
+        assert pays == [myerson_payment(env, plan, bids, i) for i in range(env.n)]
+        assert run_auction(env, plan, bids, case).interim_payment == tuple(pays)
+
+
+def _large_block_env(rng, case: int) -> Environment:
+    """k_unit(n/2, n), positions with many slots, or a partition matroid of
+    1-3 parts of up to 64 bidders."""
+    n = int(rng.integers(8, 65))
+    if case % 3 == 0:
+        return Environment.k_unit(n // 2, n)
+    if case % 3 == 1:
+        weights = np.sort(rng.uniform(size=int(rng.integers(n // 2, n + 1))))[::-1]
+        return Environment.position(weights.tolist(), n)
+    parts = int(rng.integers(1, 4))
+    return Environment.partition_matroid(
+        [int(rng.integers(0, parts)) for _ in range(n)], [int(rng.integers(1, n)) for _ in range(parts)]
+    )
+
+
+def test_interim_payments_equal_reference_on_large_blocks():
+    # the running sum per block must match the per-bidder reference to the
+    # bit on long piece lists: continuous bids, and bids tied on a grid,
+    # at the reserve and at the endpoints of plans with two or more intervals
+    rng = np.random.default_rng(29)
+    grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5]
+    for case in range(24):
+        env = _large_block_env(rng, case)
+        plan = _constructor_plan(rng, grid)
+        while len(plan.intervals) < 2:
+            plan = _constructor_plan(rng, grid)
+        if case % 2:
+            bids = rng.uniform(0.0, 8.0, size=env.n).tolist()
+        else:
+            special = [plan.reserve, *(e for iv in plan.intervals for e in iv), *grid]
+            bids = [float(rng.choice(special)) for _ in range(env.n)]
         pays = interim_payments(env, plan, bids)
         assert pays == [myerson_payment(env, plan, bids, i) for i in range(env.n)]
         assert run_auction(env, plan, bids, case).interim_payment == tuple(pays)

@@ -1,9 +1,11 @@
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
+from myerson_lab import oracle as oracle_module
 from myerson_lab.curves import concave_envelope, induced_curve, pointwise_gap
 from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
 from myerson_lab.engine import interim_payments
@@ -31,8 +33,10 @@ from conftest import (
 )
 from reference import (
     almost_equal,
+    enum_revenue_uncached,
     interim_allocation_integral_kunit,
     interim_allocation_kunit,
+    mc_revenue_uncached,
     tail_probability,
     upper_value,
 )
@@ -299,6 +303,61 @@ def test_mc_works_for_matroid_and_continuous():
     d = ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0)
     rep = expected_revenue_mc(d, env, IroningPlan.empty(), trials=500, seed=1)
     assert rep.expected_revenue >= 0.0
+
+
+LAW = ValueDistribution.discrete([(1.0, 0.3), (2.0, 0.25), (4.0, 0.25), (6.0, 0.2)], h_max=6.0)
+MIXTURE = ValueDistribution.uniform_mixture([(0.0, 2.0, 0.7), (6.0, 10.0, 0.3)], h_max=10.0)
+CACHE_CASES = [
+    (LAW, Environment.position([1.0, 0.6, 0.3], 6), IroningPlan(((4.0, 6.0),), 4.0)),
+    (LAW, Environment.partition_matroid([0, 1, 0, 2, 1, 0], [1, 2, 1]), IroningPlan(((1.0, 4.0),), 1.0)),
+    (LAW, Environment.uniform_matroid(2, 5), IroningPlan((), 2.0)),
+    (MIXTURE, Environment.k_unit(2, 4), IroningPlan(((1.0, 7.0),), 0.5)),
+]
+
+
+def _accepted_profile(env, plan, bids) -> tuple:
+    return tuple(tuple(sorted(bids[i] for i in members if bids[i] >= plan.reserve)) for members, _ in env.blocks)
+
+
+def _counting_payments(patch, calls):
+    patch.setattr(oracle_module, "interim_payments", lambda *args: calls.append(args) or interim_payments(*args))
+
+
+def test_mc_prices_each_distinct_profile_once_to_the_bit(monkeypatch):
+    # one interim_payments call per distinct profile (its blocks' sorted
+    # bids at or above the reserve), and the same mean and stderr as
+    # pricing every draw
+    trials = 500
+    for seed, (dist, env, plan) in enumerate(CACHE_CASES):
+        draws = sample(dist, trials * env.n, seed).reshape(trials, env.n).tolist()
+        distinct = {_accepted_profile(env, plan, row) for row in draws}
+        calls = []
+        with monkeypatch.context() as patch:
+            _counting_payments(patch, calls)
+            rep = expected_revenue_mc(dist, env, plan, trials, seed)
+        assert len(calls) == len(distinct)
+        assert (len(distinct) == trials) == (dist is MIXTURE)  # only the continuous law repeats no profile
+        assert rep == mc_revenue_uncached(dist, env, plan, trials, seed)
+
+
+def test_enum_prices_multisets_that_differ_below_the_reserve_once_to_the_bit(monkeypatch):
+    # one interim_payments call per block and multiset of its accepted
+    # bids, and the same sum as pricing every multiset
+    for dist, env, plan in CACHE_CASES[:3]:
+        vals = [v for v, _ in dist.atoms]
+        priced = sum(
+            len({tuple(v for v in combo if v >= plan.reserve) for combo in itertools.combinations_with_replacement(vals, len(m))})
+            for m, _ in env.blocks
+        )
+        multisets = sum(math.comb(len(vals) + len(m) - 1, len(m)) for m, _ in env.blocks)
+        calls = []
+        with monkeypatch.context() as patch:
+            _counting_payments(patch, calls)
+            rep = expected_revenue_enum.__wrapped__(dist, env, plan)  # past the lru_cache
+        assert len(calls) == priced
+        # a saving needs two atoms below the reserve, as in the position case
+        assert (priced < multisets) == (plan.reserve > vals[1])
+        assert rep.expected_revenue == enum_revenue_uncached(dist, env, plan)
 
 
 def test_induced_true_curve_identity(bimodal_small):
