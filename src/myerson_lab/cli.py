@@ -173,6 +173,8 @@ def experiment_loss(dist, env, m_list, trials, delta, seed, out_path) -> list[st
     """Learn-from-samples loss sweep; one CSV row per (m, trial)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if len(set(m_list)) < len(m_list):
+        raise ValueError(f"sample counts must be distinct, got {list(m_list)}")
     jobs = [
         (dist.to_json(), env.to_json(), m, delta, seed, mi, t)
         for mi, m in enumerate(m_list)
@@ -214,6 +216,8 @@ def _regret_seed_trace(payload):
 
 def experiment_regret(dist, env, T, delta, seeds, master_seed, out_path) -> list[str]:
     """Independent no-regret runs, one trace block per seed."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     jobs = [(dist.to_json(), env.to_json(), T, delta, master_seed, i) for i in range(seeds)]
     results = _pool_map(_regret_seed_trace, jobs)
     lines = [REGRET_HEADER]

@@ -7,7 +7,7 @@ as distinct values and counts, and each round's fresh bids are merged
 into it, so a round costs the same at every t on a law with few atoms.
 Each round is charged the expected loss of the deployed plan against the
 optimal plan (not the noisy realized revenue of its bids).  Both
-revenues come from the quadrature oracle, once per distinct plan.
+revenues come from the quadrature oracle's cache, once per process.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ def run_no_regret(
     the oracle's expected revenue of its plan, not the realized bids, so
     the trace depends on the seed only through the plans it learns: while
     epsilon_t is too wide to reveal any atom, all seeds give ``==`` traces.
+    Plans are priced by the shared quadrature cache, once per process.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -115,7 +116,7 @@ def run_no_regret(
     plan_cache: dict[IroningPlan, tuple[float, str]] = {}
 
     def plan_value(plan: IroningPlan) -> tuple[float, str]:
-        """The plan's expected revenue and short hash, computed once per plan."""
+        """The plan's expected revenue and short hash, computed once per trace."""
         if plan not in plan_cache:
             rev = expected_revenue_quadrature(dist, env, plan).expected_revenue
             plan_cache[plan] = rev, plan.short_hash()

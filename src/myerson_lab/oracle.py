@@ -6,13 +6,12 @@ exhaustive enumeration of each rank block's member multisets through the
 engine, and seeded Monte Carlo.  A bid below the reserve gets no key,
 pays nothing and moves no breakpoint, so a profile's total depends only
 on each block's sorted bids at or above the reserve: enumeration and
-Monte Carlo price each such profile once.  Quadrature values every plan
-exactly and costs one vectorised pass per block, so the additive loss (and the
-no-regret loop's per-round loss) is priced by it; enumeration stays the
-independent check it must agree with to float precision.  A fourth
-figure, the discrete virtual-welfare bound, caps the revenue of every
-auction and is met by the optimal plan, which checks ``optimal_plan``
-itself.
+Monte Carlo price each such profile once.  Quadrature, exact in one
+vectorised pass per block, prices the additive and no-regret losses;
+enumeration is the independent check it must agree with to float
+precision.  Both are cached per (law, environment, plan); Monte Carlo
+draws on every call.  The discrete virtual-welfare bound caps every
+auction's revenue, and ``optimal_plan``'s plan must meet it.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ def optimal_plan(dist: ValueDistribution) -> IroningPlan:
     return plan_from_price_runs(dist.price_runs, dist.h_max)
 
 
-def _profile_payment(env: Environment, plan: IroningPlan, bids: list[float]) -> float:
-    return math.fsum(interim_payments(env, plan, bids))
-
-
 def _refuse_float_overflow(n: int, parts: int) -> None:
     """Refuse a block of n members whose largest coefficient n! / prod(c!),
     over counts c splitting n into ``parts``, does not fit a float.
@@ -88,6 +83,21 @@ def _refuse_float_overflow(n: int, parts: int) -> None:
     log_coeff = math.lgamma(n + 1) - r * math.lgamma(q + 2) - (parts - r) * math.lgamma(q + 1)
     if log_coeff > _LOG_FLOAT_MAX:
         raise GuardError(f"a block of {n} bidders has coefficients beyond the float range")
+
+
+def _splits(pows: list, atoms: range, total: int, coeff: int = 1):
+    """Each split of ``total`` bids over ``atoms`` in ``combinations_with_replacement`` order, as its (atom, count)
+    pairs, ``coeff`` * total!/prod(c!) and each pair's p**c = ``pows[a][c]``; a 0.0 p**c prunes its subtree."""
+    stack = [((), total, coeff, ())]
+    while stack:
+        split, rem, k, factors = stack.pop()
+        if rem == 0:
+            yield split, k, factors
+            continue
+        start = split[-1][0] + 1 if split else atoms.start  # children go on in reverse, so they pop in order
+        stack.extend((split + ((a, c),), rem - c, k * math.comb(rem, c), factors + (pows[a][c],))
+                     for a in reversed(range(start, atoms.stop)) for c in range(1, rem + 1)
+                     if pows[a][c] != 0.0 and (c == rem or a + 1 < atoms.stop))  # the last atom takes the rest
 
 
 @lru_cache(maxsize=65536)
@@ -111,33 +121,27 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     for members, _ in env.blocks:
         _refuse_float_overflow(len(members), s)
     vals = [v for v, _ in dist.atoms]
-    probs = [p for _, p in dist.atoms]
     first = bisect_left(vals, plan.reserve)  # atoms from here up are accepted
     totals = []
     for _, slots in env.blocks:
         n = len(slots)
         block = Environment.position(slots, n)
-        fact_n = math.factorial(n)
+        pows = [[p**c for c in range(n + 1)] for _, p in dist.atoms]
         terms = []
-        # each multiset once, as its atoms at or above the reserve (high) plus
-        # those below it; fsum is correctly rounded, so the order of terms is free
-        highs = (itertools.combinations_with_replacement(range(first, s), j) for j in range(n + 1))
-        for high in itertools.chain.from_iterable(highs):
-            total = None
-            for low in itertools.combinations_with_replacement(range(first), n - len(high)):
-                combo = low + high
-                counts: dict[int, int] = {}
-                for i in combo:
-                    counts[i] = counts.get(i, 0) + 1
-                weight = fact_n
-                for i, c in counts.items():
-                    weight = weight // math.factorial(c)
-                weight *= math.prod(probs[i] ** c for i, c in counts.items())
-                if weight == 0.0:
-                    continue
-                if total is None:
-                    total = _profile_payment(block, plan, [vals[i] for i in combo])
-                terms.append(weight * total)
+        # each multiset once, as its j bids on the accepted atoms (high; j = n if none is rejected, 0 if
+        # all are) and the rest (low, listed once per j), whose product the high part's factors fold on
+        for j in range(n if first == 0 else 0, (0 if first == s else n) + 1):
+            lows = [(low, k, math.prod(f)) for low, k, f in _splits(pows, range(first), n - j)]
+            for high, coeff, factors in _splits(pows, range(first, s), j, math.comb(n, j)):
+                total = None
+                for low, low_coeff, prod in lows:
+                    weight = coeff * low_coeff * math.prod(factors, start=prod)
+                    if weight == 0.0:
+                        continue
+                    if total is None:
+                        bids = [vals[a] for a, c in low + high for _ in range(c)]  # one bid per count
+                        total = math.fsum(interim_payments(block, plan, bids))
+                    terms.append(weight * total)
         totals.append(math.fsum(terms))
     return RevenueReport(expected_revenue=math.fsum(totals), method="enumeration")
 
@@ -150,6 +154,7 @@ def _bernstein(x: np.ndarray, n: int) -> np.ndarray:
     return coeffs * x[:, None] ** j * (1.0 - x[:, None]) ** (n - j)
 
 
+@lru_cache(maxsize=4096)
 def expected_revenue_quadrature(
     dist: ValueDistribution, env: Environment, plan: IroningPlan
 ) -> RevenueReport:
@@ -165,8 +170,8 @@ def expected_revenue_quadrature(
     piece, plus R(1) y(1), where R is ``induced_curve`` of the law's price
     runs under the plan: the one chord/plateau construction, whose
     posted-price points make it exact for every plan over a discrete law.
-    y and Y are evaluated once at all of R's vertices.  A block of 1030
-    or more members, whose binomial row overflows a float, is refused.
+    y and Y are evaluated once at all of R's vertices.  A block of 1030+
+    members overflows a float and is refused; 4096 reports are cached.
     """
     _require_discrete(dist, "expected_revenue_quadrature")
     # refuse huge n before building blocks, as enumeration does
@@ -212,7 +217,7 @@ def expected_revenue_mc(
         bids = row.tolist()
         profile = tuple(tuple(sorted(bids[i] for i in members if bids[i] >= plan.reserve)) for members, _ in env.blocks)
         if profile not in priced:
-            priced[profile] = _profile_payment(env, plan, bids)
+            priced[profile] = math.fsum(interim_payments(env, plan, bids))
         totals.append(priced[profile])
     mean = math.fsum(totals) / trials
     if trials > 1:
@@ -262,10 +267,10 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
 
 
 def additive_loss(dist: ValueDistribution, env: Environment, learned_plan: IroningPlan) -> float:
-    """Optimal expected revenue minus the plan's, both by quadrature.
+    """Optimal expected revenue minus the plan's, both by cached quadrature.
 
-    Tiny negatives from float noise clamp to zero; anything below -1e-9
-    means an oracle bug and raises.
+    A sweep prices the optimum and each distinct learned plan once.  Tiny
+    negatives from float noise clamp to zero; below -1e-9, an oracle bug raises.
     """
     _require_discrete(dist, "additive_loss")
     opt = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue

@@ -393,7 +393,8 @@ def myerson_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
 
 def enum_revenue_uncached(dist, env, plan: IroningPlan) -> float:
     """``expected_revenue_enum``'s sum, pricing every multiset of every
-    block with the same multinomial weight arithmetic."""
+    block and building each multinomial weight from scratch, which the
+    oracle's walk over atom counts must match to the bit."""
     vals, probs = [v for v, _ in dist.atoms], [p for _, p in dist.atoms]
     totals = []
     for _, slots in env.blocks:

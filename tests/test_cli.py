@@ -207,6 +207,12 @@ ARRAY = "[1, 2]"
          "n must be an integer, got 2.5"),
         (ARRAY, ["experiment", "loss", "--dist", "d.json", "--env", "e.json", "--m-list", "10", "--trials", "0"],
          "trials must be >= 1, got 0"),
+        (ARRAY, ["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", "3", "--seeds", "0"],
+         "seeds must be >= 1, got 0"),
+        (ARRAY, ["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", "3", "--seeds", "-3"],
+         "seeds must be >= 1, got -3"),
+        (ARRAY, ["experiment", "loss", "--dist", "d.json", "--env", "e.json", "--m-list", "10,10", "--trials", "2"],
+         "sample counts must be distinct, got [10, 10]"),
         ('{"type": "discrete", "h_max": 10, "atoms": [[1, 0.9], [5, 0.1]]}', ["oracle", "--dist", "bad.json", "--env", "e.json"],
          "atoms entry must be an object, got [1, 0.9]"),
         ('{"type": "discrete", "h_max": 10, "atoms": {"value": 1, "prob": 1}}', ["oracle", "--dist", "bad.json", "--env", "e.json"],
@@ -263,6 +269,7 @@ ARRAY = "[1, 2]"
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
+        "regret_zero_seeds", "regret_negative_seeds", "loss_repeated_m",
         "atoms_arrays", "atoms_object", "atom_value_string", "components_arrays", "weights_scalar",
         "weights_null_entry", "blocks_scalar", "capacities_scalar", "block_id_string", "intervals_arrays",
         "intervals_object", "reserve_array", "matroid_kind_unknown", "weights_nan", "weights_infinity",

@@ -360,6 +360,32 @@ def test_enum_prices_multisets_that_differ_below_the_reserve_once_to_the_bit(mon
         assert rep.expected_revenue == enum_revenue_uncached(dist, env, plan)
 
 
+def test_enum_walk_is_the_per_multiset_sum_to_the_bit():
+    # the walk carries each weight's coefficient and probability fold down
+    # the atom counts; its sum must keep every bit of the per-multiset
+    # arithmetic, on laws with zero-mass atoms, in all five kinds
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for i in range(300):
+        d = random_grid_law(rng)
+        env = (random_slot_env, random_matroid_env)[i % 2](rng, n_max=6)
+        kinds.add(env_kind(env))
+        for plan in (optimal_plan(d), random_grid_plan(rng), IroningPlan.empty()):
+            assert expected_revenue_enum.__wrapped__(d, env, plan).expected_revenue == enum_revenue_uncached(d, env, plan)
+    assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
+
+
+def test_enum_walks_1500_atoms_on_one_side_of_the_reserve():
+    # the walk over atom counts keeps its own stack, so a law whose atoms all
+    # lie above the reserve (the empty plan) or all below it stays in bounds
+    rng = np.random.default_rng(31)
+    atoms = list(zip((np.arange(1, 1501) / 160.0).tolist(), rng.dirichlet(np.ones(1500)).tolist()))
+    d = ValueDistribution.discrete(atoms, h_max=10.0)
+    env = Environment.single_item(1)
+    for plan in (IroningPlan.empty(), IroningPlan.canonical([], 9.5), optimal_plan(d)):
+        assert expected_revenue_enum.__wrapped__(d, env, plan).expected_revenue == enum_revenue_uncached(d, env, plan)
+
+
 def test_induced_true_curve_identity(bimodal_small):
     # the empty plan keeps every left limit of the law's revenue curve,
     # but its reserve 0 posts price 0 at q = 1, where the law reads v_min
@@ -536,3 +562,59 @@ def test_position_decomposition_random():
             if slots[j - 1] != slots[j]
         )
         assert abs(pos - mix) <= 1e-9
+
+
+def test_quadrature_cache_returns_the_uncached_reports():
+    # in all five kinds, on optimal, random aligned and empty plans; a
+    # repeat call returns the cached object itself
+    expected_revenue_quadrature.cache_clear()
+    rng = np.random.default_rng(71)
+    kinds = set()
+    for i in range(60):
+        d = random_discrete(rng, max_atoms=5)
+        env = (random_slot_env, random_matroid_env)[i % 2](rng)
+        kinds.add(env_kind(env))
+        for plan in (optimal_plan(d), random_aligned_plan(rng, d), IroningPlan.empty()):
+            rep = expected_revenue_quadrature(d, env, plan)
+            assert rep == expected_revenue_quadrature.__wrapped__(d, env, plan)
+            assert expected_revenue_quadrature(d, env, plan) is rep
+    assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
+
+
+def test_additive_loss_prices_the_optimum_and_each_distinct_learned_plan_once():
+    expected_revenue_quadrature.cache_clear()
+    env = Environment.position([1, 0.6, 0.3], 6)
+    plans = [
+        compute_auction(sample(LAW8, m, np.random.SeedSequence([73, i])), 0.1, LAW8.h_max)
+        for i, m in enumerate([100, 1000, 10000] * 10)
+    ]
+    for plan in plans:
+        additive_loss(LAW8, env, plan)
+    distinct = set(plans) | {optimal_plan(LAW8)}
+    info = expected_revenue_quadrature.cache_info()
+    assert info.misses == len(distinct) < len(plans)
+    assert info.hits == 2 * len(plans) - len(distinct)
+
+
+def test_quadrature_refusals_are_raised_on_every_call():
+    expected_revenue_quadrature.cache_clear()
+    two = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
+    for _ in range(3):
+        with pytest.raises(GuardError, match="exceed the quadrature guard"):
+            expected_revenue_quadrature(two, Environment.single_item(10**9), IroningPlan.empty())
+        with pytest.raises(ValueError, match="requires a discrete distribution"):
+            expected_revenue_quadrature(MIXTURE, Environment.single_item(3), IroningPlan.empty())
+    assert expected_revenue_quadrature.cache_info().currsize == 0
+
+
+def test_quadrature_cache_hits_a_law_and_environment_rebuilt_from_json():
+    # as each experiment loss trial rebuilds them from the JSON it is sent
+    expected_revenue_quadrature.cache_clear()
+    env = Environment.position([1, 0.6, 0.3], 6)
+    plan = optimal_plan(LAW8)
+    rep = expected_revenue_quadrature(LAW8, env, plan)
+    rebuilt = ValueDistribution.from_json(LAW8.to_json()), Environment.from_json(env.to_json())
+    assert rebuilt[0] is not LAW8 and rebuilt[1] is not env
+    assert expected_revenue_quadrature(*rebuilt, IroningPlan.from_json(plan.to_json())) is rep
+    info = expected_revenue_quadrature.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
