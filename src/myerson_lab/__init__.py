@@ -14,13 +14,7 @@ from .curves import (
     induced_curve,
     pointwise_gap,
 )
-from .distributions import (
-    ValueDistribution,
-    exact_cdf,
-    exact_quantile,
-    exact_revenue_curve,
-    sample,
-)
+from .distributions import ValueDistribution, sample
 from .empirical import EmpiricalQuantile, dkw_epsilon, r_max_curve, r_min_curve
 from .engine import AuctionOutcome, allocate, ironed_key, run_auction
 from .environments import Environment, is_independent

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,12 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import ValueDistribution, sample
+from .empirical import dkw_epsilon
 from .engine import run_auction
 from .environments import Environment
 from .learner import IroningPlan, compute_auction, loss_bound, required_samples_iid
 from .online import TRACE_FIELDS, run_no_regret
 from .oracle import (
     GuardError,
+    additive_loss,
     expected_revenue_enum,
     expected_revenue_mc,
     expected_revenue_quadrature,
@@ -78,26 +79,16 @@ def _read_plan(path: str) -> IroningPlan:
     return IroningPlan.from_json(Path(path).read_text())
 
 
-def _read_samples(path: str, h_max: float) -> list[float]:
-    values = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        v = float(line)
-        if not 0.0 <= v <= h_max:
-            raise ValueError(f"sample {v} outside [0, {h_max}]")
-        values.append(v)
-    if not values:
-        raise ValueError(f"no samples in {path}")
-    return values
+def _read_samples(path: str) -> list[float]:
+    """The non-blank lines as floats; ``compute_auction`` checks them."""
+    return [float(line) for line in Path(path).read_text().splitlines() if line.strip()]
 
 
 # -- subcommands ------------------------------------------------------
 
 
 def _cmd_learn(args) -> int:
-    values = _read_samples(args.samples, args.h_max)
+    values = _read_samples(args.samples)
     plan = compute_auction(values, args.delta, args.h_max)
     Path(args.out).write_text(plan.to_json() + "\n")
     print(plan.to_json())
@@ -155,12 +146,7 @@ def _cmd_eval(args) -> int:
 
 
 def _loss_trial(payload):
-    dist_json, env_json, m, delta, master, m_index, trial = payload
-    dist = ValueDistribution.from_json(dist_json)
-    env = Environment.from_json(env_json)
-    from .empirical import dkw_epsilon
-    from .oracle import additive_loss
-
+    dist, env, m, delta, master, m_index, trial = payload
     xs = sample(dist, m, _trial_seed(master, m_index, trial))
     plan = compute_auction(xs, delta, dist.h_max)
     eps = dkw_epsilon(m, delta)
@@ -175,11 +161,7 @@ def experiment_loss(dist, env, m_list, trials, delta, seed, out_path) -> list[st
         raise ValueError(f"trials must be >= 1, got {trials}")
     if len(set(m_list)) < len(m_list):
         raise ValueError(f"sample counts must be distinct, got {list(m_list)}")
-    jobs = [
-        (dist.to_json(), env.to_json(), m, delta, seed, mi, t)
-        for mi, m in enumerate(m_list)
-        for t in range(trials)
-    ]
+    jobs = [(dist, env, m, delta, seed, mi, t) for mi, m in enumerate(m_list) for t in range(trials)]
     rows = _pool_map(_loss_trial, jobs)
     lines = [LOSS_HEADER]
     by_m: dict[int, list] = {}
@@ -207,9 +189,7 @@ def _cmd_experiment_loss(args) -> int:
 
 
 def _regret_seed_trace(payload):
-    dist_json, env_json, T, delta, master, idx = payload
-    dist = ValueDistribution.from_json(dist_json)
-    env = Environment.from_json(env_json)
+    dist, env, T, delta, master, idx = payload
     trace = run_no_regret(dist, env, T, delta, seed=master + idx)
     return master + idx, trace
 
@@ -218,7 +198,7 @@ def experiment_regret(dist, env, T, delta, seeds, master_seed, out_path) -> list
     """Independent no-regret runs, one trace block per seed."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    jobs = [(dist.to_json(), env.to_json(), T, delta, master_seed, i) for i in range(seeds)]
+    jobs = [(dist, env, T, delta, master_seed, i) for i in range(seeds)]
     results = _pool_map(_regret_seed_trace, jobs)
     lines = [REGRET_HEADER]
     for seed, trace in results:

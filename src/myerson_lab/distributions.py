@@ -2,11 +2,11 @@
 
 Two families are supported: finite discrete laws (the ground truth for
 every exact oracle) and mixtures of uniform components (sampling and
-Monte Carlo only; their revenue curves are grid approximations).  A
-discrete law is also its ``price_runs``, built once: posting atom v
-sells with probability P(V >= v), so v prices the quantiles from
-P(V > v) to P(V >= v).  The exact revenue curve, the optimal plan and
-every plan's induced curve are all read from those runs.
+Monte Carlo only; no revenue curve is built for them).  A discrete law
+is also its ``price_runs``, built once: posting atom v sells with
+probability P(V >= v), so v prices the quantiles from P(V > v) to
+P(V >= v).  The revenue curve, the optimal plan and every plan's
+induced curve are all read from those runs.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import PiecewiseLinearCurve, PriceRuns, curve_from_price_runs
+from .curves import PriceRuns
 from .environments import _json_list, _json_number, _json_object
 
-__all__ = ["ValueDistribution", "sample", "exact_cdf", "exact_quantile", "exact_revenue_curve"]
+__all__ = ["ValueDistribution", "sample"]
 
 _PROB_TOL = 1e-12
 
@@ -122,12 +122,14 @@ class ValueDistribution:
     def is_discrete(self) -> bool:
         return self.kind == "discrete"
 
+    def __getstate__(self):
+        # a copy, say in a worker process, rebuilds its read-only arrays
+        return {k: v for k, v in self.__dict__.items() if k not in ("_atom_arrays", "price_runs")}
+
     @cached_property
-    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Atom values, probabilities and cumulative probabilities, read-only."""
-        vals = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
-        arrays = vals, probs, np.cumsum(probs)
+    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atom values and probabilities, read-only."""
+        arrays = np.array([v for v, _ in self.atoms]), np.array([p for _, p in self.atoms])
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -144,7 +146,7 @@ class ValueDistribution:
         """
         if not self.is_discrete:
             raise ValueError("price runs need a discrete distribution")
-        vals, probs, _ = self._atom_arrays
+        vals, probs = self._atom_arrays
         edges = np.concatenate(([0.0], np.minimum(np.cumsum(probs[::-1]), 1.0)))
         edges[-1] = 1.0
         edges.flags.writeable = False
@@ -165,61 +167,10 @@ def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
         return cdf.searchsorted(rng.random(count), side="right")
 
     if dist.is_discrete:
-        vals, probs, _ = dist._atom_arrays
+        vals, probs = dist._atom_arrays
         return vals[index(probs)]
     los = np.array([lo for lo, _, _ in dist.components])
     his = np.array([hi for _, hi, _ in dist.components])
     idx = index(np.array([w for _, _, w in dist.components]))
     u = rng.uniform(size=count)
     return los[idx] + u * (his[idx] - los[idx])
-
-
-def exact_cdf(dist: ValueDistribution, v: float) -> float:
-    """Right-continuous CDF: P(V <= v)."""
-    if dist.is_discrete:
-        return math.fsum(p for a, p in dist.atoms if a <= v)
-    total = 0.0
-    for lo, hi, w in dist.components:
-        if v >= hi:
-            total += w
-        elif v > lo:
-            total += w * (v - lo) / (hi - lo)
-    return total
-
-
-def exact_quantile(dist: ValueDistribution, p: float) -> float:
-    """Generalized inverse: the smallest v with exact_cdf(v) >= p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if dist.is_discrete:
-        _, _, cum = dist._atom_arrays
-        idx = int(np.searchsorted(cum, p, side="left"))
-        idx = min(idx, len(dist.atoms) - 1)
-        return dist.atoms[idx][0]
-    # piecewise-linear CDF over merged component breakpoints
-    edges = sorted({x for lo, hi, _ in dist.components for x in (lo, hi)})
-    if p <= 0.0:
-        return edges[0]
-    prev_x, prev_f = edges[0], 0.0
-    for x in edges[1:]:
-        f = exact_cdf(dist, x)
-        if f >= p:
-            if f == prev_f:
-                return x
-            t = (p - prev_f) / (f - prev_f)
-            return prev_x + t * (x - prev_x)
-        prev_x, prev_f = x, f
-    return edges[-1]
-
-
-def exact_revenue_curve(dist: ValueDistribution, grid_points: int = 10_000) -> PiecewiseLinearCurve:
-    """Revenue-vs-quantile curve q * F_inverse(1 - q).
-
-    Exact (with jump pairs at atom quantiles) for discrete laws; a
-    uniform quantile-grid approximation for mixtures.
-    """
-    if dist.is_discrete:
-        return curve_from_price_runs(dist.price_runs)
-    qs = np.linspace(0.0, 1.0, grid_points + 1)
-    values = [0.0] + [q * exact_quantile(dist, 1.0 - q) for q in qs[1:].tolist()]
-    return PiecewiseLinearCurve(qs, np.array(values))

@@ -10,7 +10,8 @@ Monte Carlo price each such profile once.  Quadrature, exact in one
 vectorised pass per block, prices the additive and no-regret losses;
 enumeration is the independent check it must agree with to float
 precision.  Both are cached per (law, environment, plan); Monte Carlo
-draws on every call.  The discrete virtual-welfare bound caps every
+draws on every call.  The discrete virtual-welfare bound, read from
+the concave hull of the curve of the law's own price runs, caps every
 auction's revenue, and ``optimal_plan``'s plan must meet it.
 """
 
@@ -25,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import concave_envelope, induced_curve
-from .distributions import ValueDistribution, exact_revenue_curve, sample
+from .curves import concave_envelope, curve_from_price_runs, induced_curve
+from .distributions import ValueDistribution, sample
 from .engine import interim_payments
 from .environments import Environment
 from .learner import IroningPlan, plan_from_price_runs
@@ -233,15 +234,16 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     optimal plan earns exactly this (Elkind, SODA 2007).
 
     An atom's ironed virtual value is the slope of the concave hull of
-    the revenue curve over the atom's quantile run, clipped at 0.  Each
-    block serves its members' virtual values in sorted order, the r-th
-    highest weighted by the r-th slot.  The slopes fall as the quantile
-    grows, so the r-th highest value is at least a run's slope exactly
-    when r or more members draw quantiles at most the run's end.  Summed
-    over the slots, that is the chance that exactly c members do, times
-    the weight w_1 + ... + w_c of the first c slots, over c: one binomial
-    row per block and level.  A block of 1030 or more members, whose
-    binomial row overflows a float, is refused.
+    the law's revenue curve, built from its price runs, over the atom's
+    quantile run, clipped at 0.  Each block serves its members' virtual
+    values in sorted order, the r-th highest weighted by the r-th slot.
+    The slopes fall as the quantile grows, so the r-th highest value is
+    at least a run's slope exactly when r or more members draw quantiles
+    at most the run's end.  Summed over the slots, that is the chance
+    that exactly c members do, times the weight w_1 + ... + w_c of the
+    first c slots, over c: one binomial row per block and level.  A block
+    of 1030 or more members, whose binomial row overflows a float, is
+    refused.
     """
     _require_discrete(dist, "virtual_welfare_bound")
     # refuse huge n before building blocks, as quadrature does
@@ -249,7 +251,7 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
         raise GuardError(f"{env.n} bidders exceed the virtual-welfare guard")
     for members, _ in env.blocks:
         _refuse_float_overflow(len(members), 2)
-    hull = concave_envelope(exact_revenue_curve(dist))
+    hull = concave_envelope(curve_from_price_runs(dist.price_runs))
     edges = dist.price_runs.edges.tolist()
     levels = [
         (q1, max(0.0, (hull.evaluate(q1) - hull.evaluate(q0)) / (q1 - q0)))

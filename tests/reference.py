@@ -1,18 +1,18 @@
 """Reference helpers the tests check the package against.
 
 They are plain, slow, scalar restatements of what the package computes
-with arrays, plus a matroid's independence oracle read from its JSON and
-greedy selection with it, the brute force that ``Environment.blocks`` is
-checked against, the rank key by a scan of every interval, the threshold
-payment that re-runs ``allocate`` on every piece of the bid line,
-enumeration and Monte Carlo revenue that price every multiset and every
-draw, and the k-unit interim
-allocation with its integral and derivative, the k-by-k form of the
-Bernstein mixture that revenue quadrature evaluates per block, the
-no-regret loop that relearns from one growing array of every bid, and
-the vertex-by-vertex ironing walk in quantile space that the package's
-``induced_curve`` is checked against.  They live here because nothing
-in the package calls them.
+with arrays, plus a discrete law's CDF and generalized inverse, a
+matroid's independence oracle read from its JSON and greedy selection
+with it, the brute force that ``Environment.blocks`` is checked against,
+the rank key by a scan of every interval, the threshold payment that
+re-runs ``allocate`` on every piece of the bid line, enumeration and
+Monte Carlo revenue that price every multiset and every draw, and the
+k-unit interim allocation with its integral and derivative, the k-by-k
+form of the Bernstein mixture that revenue quadrature evaluates per
+block, the no-regret loop that relearns from one growing array of every
+bid, and the vertex-by-vertex ironing walk in quantile space that the
+package's ``induced_curve`` is checked against.  They live here because
+nothing in the package calls them.
 """
 
 import itertools
@@ -221,6 +221,21 @@ def tail_probability(dist, v: float) -> float:
     """P(V >= v) of a discrete law: the sale probability at posted price v."""
     j = bisect_left([a for a, _ in dist.atoms], v)
     return discrete_tails(dist)[j] if j < len(dist.atoms) else 0.0
+
+
+def discrete_cdf(dist, v: float) -> float:
+    """P(V <= v) of a discrete law, right-continuous."""
+    return math.fsum(p for a, p in dist.atoms if a <= v)
+
+
+def discrete_quantile(dist, p: float) -> float:
+    """Generalized inverse of a discrete law: the smallest atom v with
+    P(V <= v) >= p, the cumulative sum accumulated from the lowest atom."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    cum = np.cumsum([q for _, q in dist.atoms])
+    idx = min(int(np.searchsorted(cum, p, side="left")), len(dist.atoms) - 1)
+    return dist.atoms[idx][0]
 
 
 def upper_value(curve: PiecewiseLinearCurve, q: float) -> float:

@@ -266,6 +266,10 @@ ARRAY = "[1, 2]"
          "h_max must be >= 0, got -1.0"),
         ("1.0\n2.5\n", ["learn", "--samples", "bad.json", "--delta", "0.1", "--h-max", "inf", "--out", "plan.json"],
          "h_max must be finite, got inf"),
+        ("1.0\n11\n", ["learn", "--samples", "bad.json", "--delta", "0.1", "--h-max", "10", "--out", "plan.json"],
+         "sample 11.0 outside [0, 10.0]"),
+        ("\n  \n", ["learn", "--samples", "bad.json", "--delta", "0.1", "--h-max", "10", "--out", "plan.json"],
+         "need a 1-D array of at least one sample"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
@@ -275,7 +279,7 @@ ARRAY = "[1, 2]"
         "intervals_object", "reserve_array", "matroid_kind_unknown", "weights_nan", "weights_infinity",
         "weights_beyond_float", "atom_prob_nan", "component_weight_nan", "gamma_inf", "gamma_nan",
         "samples_h_max_inf", "bound_h_max_nan", "bound_n_negative", "bound_h_max_negative",
-        "samples_h_max_negative", "learn_h_max_inf",
+        "samples_h_max_negative", "learn_h_max_inf", "learn_sample_above_h_max", "learn_no_samples",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

@@ -1,19 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from myerson_lab.distributions import (
-    ValueDistribution,
-    exact_cdf,
-    exact_quantile,
-    exact_revenue_curve,
-    sample,
-)
+from myerson_lab.curves import curve_from_price_runs
+from myerson_lab.distributions import ValueDistribution, sample
 from myerson_lab.empirical import dkw_epsilon
 
 from conftest import rare_high_dist
-from reference import tail_probability
+from reference import discrete_cdf, discrete_quantile, tail_probability, triples
 
 
 def test_point_mass_sampling():
@@ -45,9 +41,9 @@ def test_sampling_deterministic_given_seed():
 
 def test_atom_arrays_are_built_once_and_draws_keep_their_bits():
     d = ValueDistribution.discrete([(1.0, 0.5), (2.5, 0.0), (4.0, 0.3), (9.0, 0.2)], h_max=10.0)
-    vals, probs, cum = d._atom_arrays
+    vals, probs = d._atom_arrays
     assert d._atom_arrays[0] is vals
-    assert not (vals.flags.writeable or probs.flags.writeable or cum.flags.writeable)
+    assert not (vals.flags.writeable or probs.flags.writeable)
     # the draws recorded before the arrays were cached
     want = [4.0, 1.0, 1.0, 4.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0, 4.0]
     assert sample(d, 12, 2024).tolist() == want
@@ -62,40 +58,27 @@ def test_sample_count_precondition():
 
 def test_cdf_quantile_discrete():
     d = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
-    assert exact_cdf(d, 1.0) == pytest.approx(0.9, abs=0)
-    assert exact_cdf(d, 0.5) == 0.0
-    assert exact_cdf(d, 5.0) == pytest.approx(1.0, abs=0)
-    assert exact_quantile(d, 0.95) == 5.0
-    assert exact_quantile(d, 0.0) == 1.0
-    assert exact_quantile(d, 0.9) == 1.0
-
-
-def test_quantile_uniform():
-    d = ValueDistribution.uniform_mixture([(0.0, 2.0, 1.0)], h_max=2.0)
-    assert exact_quantile(d, 0.25) == pytest.approx(0.5, abs=1e-12)
-    assert exact_quantile(d, 0.0) == 0.0
-    assert exact_quantile(d, 1.0) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_quantile_disjoint_mixture_gap():
-    d = ValueDistribution.uniform_mixture([(0.0, 1.0, 0.5), (3.0, 4.0, 0.5)], h_max=4.0)
-    assert exact_quantile(d, 0.5) == pytest.approx(1.0, abs=1e-12)
-    assert exact_quantile(d, 0.75) == pytest.approx(3.5, abs=1e-12)
+    assert discrete_cdf(d, 1.0) == pytest.approx(0.9, abs=0)
+    assert discrete_cdf(d, 0.5) == 0.0
+    assert discrete_cdf(d, 5.0) == pytest.approx(1.0, abs=0)
+    assert discrete_quantile(d, 0.95) == 5.0
+    assert discrete_quantile(d, 0.0) == 1.0
+    assert discrete_quantile(d, 0.9) == 1.0
 
 
 def test_quantile_precondition():
     d = ValueDistribution.discrete([(1.0, 1.0)], h_max=1.0)
     with pytest.raises(ValueError):
-        exact_quantile(d, 1.5)
+        discrete_quantile(d, 1.5)
 
 
 def test_cdf_quantile_consistency_grid():
     d = ValueDistribution.discrete([(0.5, 0.3), (1.5, 0.2), (2.0, 0.5)], h_max=2.0)
     for p in np.linspace(0, 1, 1001):
-        assert exact_cdf(d, exact_quantile(d, float(p))) >= float(p) - 1e-12
-    dm = ValueDistribution.uniform_mixture([(0.0, 1.0, 0.4), (2.0, 3.0, 0.6)], h_max=3.0)
-    for p in np.linspace(0, 1, 1001):
-        assert exact_cdf(dm, exact_quantile(dm, float(p))) >= float(p) - 1e-9
+        assert discrete_cdf(d, discrete_quantile(d, float(p))) >= float(p) - 1e-12
+    # each price run posts the generalized inverse over its quantiles
+    for q0, q1, price in triples(d.price_runs):
+        assert discrete_quantile(d, 1.0 - (q0 + q1) / 2) == price
 
 
 def test_tail_probability():
@@ -116,13 +99,17 @@ def test_price_runs_are_built_once_and_read_only():
     assert runs.prices.tolist() == [5.0, 2.0, 1.0]
     assert runs.edges.tolist() == [0.0, 0.5, 0.5, 1.0]  # the zero-mass atom keeps its empty run
     assert not runs.edges.flags.writeable and not runs.prices.flags.writeable
+    # a copy, as a worker process receives it, rebuilds them read-only
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and copy.price_runs.edges.tolist() == runs.edges.tolist()
+    assert not copy.price_runs.edges.flags.writeable and not copy.price_runs.prices.flags.writeable
     with pytest.raises(ValueError):
         ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0).price_runs
 
 
 def test_revenue_curve_example2_vertices():
     d = ValueDistribution.discrete([(1.0, 0.9), (5.0, 0.1)], h_max=5.0)
-    curve = exact_revenue_curve(d)
+    curve = curve_from_price_runs(d.price_runs)
     assert (0.1, 0.5) in curve.vertices
     assert curve.vertices[-1] == (1.0, 1.0)
     assert curve.vertices[0] == (0.0, 0.0)
@@ -130,30 +117,22 @@ def test_revenue_curve_example2_vertices():
 
 def test_revenue_curve_point_mass_is_line():
     d = ValueDistribution.discrete([(3.0, 1.0)], h_max=3.0)
-    curve = exact_revenue_curve(d)
+    curve = curve_from_price_runs(d.price_runs)
     assert curve.vertices == ((0.0, 0.0), (1.0, 3.0))
 
 
 def test_revenue_curve_example1_vertices():
     d = rare_high_dist(10.0)
-    curve = exact_revenue_curve(d)
+    curve = curve_from_price_runs(d.price_runs)
     assert (0.1, 1.0) in curve.vertices
     assert curve.vertices[-1] == (1.0, 1.0)
 
 
 def test_revenue_curve_matches_quantile_formula_at_breakpoints():
     d = ValueDistribution.discrete([(0.5, 0.25), (1.0, 0.25), (4.0, 0.5)], h_max=4.0)
-    curve = exact_revenue_curve(d)
+    curve = curve_from_price_runs(d.price_runs)
     for q in set(curve.qs):
-        assert curve.evaluate(q) == q * exact_quantile(d, 1.0 - q)
-
-
-def test_revenue_curve_mixture_grid():
-    d = ValueDistribution.uniform_mixture([(0.0, 2.0, 1.0)], h_max=2.0)
-    curve = exact_revenue_curve(d, grid_points=1000)
-    # R(q) = q * 2(1-q), maximum 0.5 at q = 0.5
-    assert curve.evaluate(0.5) == pytest.approx(0.5, abs=1e-3)
-    assert curve.evaluate(0.0) == 0.0
+        assert curve.evaluate(q) == q * discrete_quantile(d, 1.0 - q)
 
 
 def test_empirical_cdf_within_dkw_radius():
@@ -161,7 +140,7 @@ def test_empirical_cdf_within_dkw_radius():
     m, delta = 100_000, 0.05
     eps = dkw_epsilon(m, delta)
     atom_vals = np.array([v for v, _ in d.atoms])
-    cdf_true = np.array([exact_cdf(d, float(v)) for v in atom_vals])
+    cdf_true = np.array([discrete_cdf(d, float(v)) for v in atom_vals])
     hits = 0
     trials = 100
     for t in range(trials):

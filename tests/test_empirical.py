@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myerson_lab.curves import pointwise_gap
-from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
+from myerson_lab.curves import curve_from_price_runs, pointwise_gap
+from myerson_lab.distributions import ValueDistribution, sample
 from myerson_lab.empirical import (
     EmpiricalQuantile,
     dkw_epsilon,
@@ -125,7 +125,7 @@ def test_curves_match_pointwise_formula():
 def test_sandwich_rate_and_gap_bound(bimodal_small):
     m, delta = 200, 0.1
     eps = dkw_epsilon(m, delta)
-    truth = exact_revenue_curve(bimodal_small)
+    truth = curve_from_price_runs(bimodal_small.price_runs)
     grid = np.linspace(0, 1, 1001)
     truth_g = truth.evaluate(grid)
     hits = 0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myerson_lab.curves import induced_curve
-from myerson_lab.distributions import exact_revenue_curve, sample
+from myerson_lab.curves import curve_from_price_runs, induced_curve
+from myerson_lab.distributions import sample
 from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs, r_min_curve
 from myerson_lab.learner import (
     IroningPlan,
@@ -103,7 +103,7 @@ def test_plan_invariants_random_sample_sets():
 def test_learned_plan_dominates_pessimistic_optimum(bimodal_small):
     # whenever the pessimistic curve really lies below the truth, the
     # learned plan's true induced curve majorizes the pessimistic optimum
-    truth = exact_revenue_curve(bimodal_small)
+    truth = curve_from_price_runs(bimodal_small.price_runs)
     grid = np.linspace(0, 1, 501)
     truth_g = truth.evaluate(grid)
     m, delta = 200, 0.1

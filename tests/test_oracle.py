@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from myerson_lab import oracle as oracle_module
-from myerson_lab.curves import concave_envelope, induced_curve, pointwise_gap
-from myerson_lab.distributions import ValueDistribution, exact_revenue_curve, sample
+from myerson_lab.curves import concave_envelope, curve_from_price_runs, induced_curve, pointwise_gap
+from myerson_lab.distributions import ValueDistribution, sample
 from myerson_lab.engine import interim_payments
 from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan, compute_auction
@@ -389,7 +389,7 @@ def test_enum_walks_1500_atoms_on_one_side_of_the_reserve():
 def test_induced_true_curve_identity(bimodal_small):
     # the empty plan keeps every left limit of the law's revenue curve,
     # but its reserve 0 posts price 0 at q = 1, where the law reads v_min
-    truth = exact_revenue_curve(bimodal_small)
+    truth = curve_from_price_runs(bimodal_small.price_runs)
     got = induced_curve(bimodal_small.price_runs, IroningPlan.empty())
     grid = np.union1d(got.qs, truth.qs)
     assert np.array_equal(got.left_value(grid), truth.left_value(grid))
@@ -401,7 +401,7 @@ def test_induced_true_curve_identity(bimodal_small):
 
 def test_induced_true_curve_example2_hull(bimodal_small):
     got = induced_curve(bimodal_small.price_runs, optimal_plan(bimodal_small))
-    assert almost_equal(got, concave_envelope(exact_revenue_curve(bimodal_small)), tol=1e-12)
+    assert almost_equal(got, concave_envelope(curve_from_price_runs(bimodal_small.price_runs)), tol=1e-12)
 
 
 def test_induced_true_curve_posted_price(bimodal_small):
@@ -421,7 +421,7 @@ def _unswitched_revenue(d, n, plan):
     """
     big_y = interim_allocation_integral_kunit
 
-    curve = exact_revenue_curve(d)
+    curve = curve_from_price_runs(d.price_runs)
     reserve_q = tail_probability(d, plan.reserve)
     q_ints = sorted(
         (tail_probability(d, hi), tail_probability(d, lo))
@@ -562,6 +562,29 @@ def test_position_decomposition_random():
             if slots[j - 1] != slots[j]
         )
         assert abs(pos - mix) <= 1e-9
+
+
+def test_position_loss_is_the_slot_weighted_k_unit_losses():
+    # the paper's lemma: the reserve and ironing intervals are tailored to
+    # the revenue curve, not the auction, so a position auction's loss is
+    # the marginal-weight combination of k-unit losses, on learned plans
+    rng = np.random.default_rng(57)
+    positive = 0
+    for t in range(300):
+        d = random_discrete(rng, max_atoms=4)
+        n = int(rng.integers(2, 6))
+        weights = np.sort(rng.uniform(0, 1, size=int(rng.integers(1, n + 1))))[::-1].tolist()
+        plan = compute_auction(sample(d, int(rng.integers(5, 60)), np.random.SeedSequence([57, t])), 0.1, d.h_max)
+        loss = additive_loss(d, Environment.position(weights, n), plan)
+        slots = weights + [0.0] * (n + 1 - len(weights))
+        mix = math.fsum(
+            (slots[j - 1] - slots[j]) * additive_loss(d, Environment.k_unit(j, n), plan)
+            for j in range(1, n + 1)
+            if slots[j - 1] != slots[j]
+        )
+        assert abs(loss - mix) <= 1e-9
+        positive += loss > 0.0
+    assert positive >= 100
 
 
 def test_quadrature_cache_returns_the_uncached_reports():
