@@ -362,6 +362,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's own refusal does not name the flag
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)

@@ -9,16 +9,15 @@ welfare over the keys, splitting exact ties symmetrically (fractional
 shares of the contested slots); this is exact for every environment,
 matroids included, with no sampling.
 Payments follow the standard threshold integral of the bidder's
-single-bid allocation curve, which is piecewise constant with
-breakpoints only at the reserve, interval endpoints, and the other
-bidders' keys, so the integral is computed exactly piece by piece.
-All bidders share one sorted breakpoint list per profile.  Below a
-member's own key, its share on a piece depends only on the piece's key
-and the block's keys, not on which member it is, so each block keeps
-one running sum of those pieces, and a member's integral is the sum up
-to its own key plus, if ironed, its own share up to its bid: one walk
-of the breakpoints per block, not one per member.  The tests check this
-to the bit against a reference that re-runs ``allocate`` at every piece.
+single-bid allocation curve.  Only the bidder's own block competes with
+it, so the curve is piecewise constant with breakpoints only at the
+reserve, interval endpoints and the other members' keys, and the
+integral is computed exactly piece by piece.  Each block is priced alone
+(``_block_payments``), from its accepted bids in ascending order, each
+keyed once, by one walk of the block's own breakpoints that all its
+members share; another block's keys never split it.  The tests check
+this to the bit against a reference that re-runs ``allocate`` on the
+block alone at every piece.
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ class AuctionOutcome:
     interim_payment: tuple[float, ...]
     realized_alloc: tuple[float, ...]
     realized_payment: tuple[float, ...]
-
-
-def validate_bids(bids: Sequence[float]) -> None:
-    for b in bids:
-        if not math.isfinite(b) or b < 0.0:
-            raise ValueError(f"bid {b} must be finite and nonnegative")
 
 
 def ironed_key(bid: float, plan: IroningPlan) -> float | None:
@@ -93,76 +86,64 @@ def allocate(env: Environment, plan: IroningPlan, bids: Sequence[float]) -> list
     return alloc
 
 
-def _threshold_payments(
-    env: Environment, plan: IroningPlan, bids: Sequence[float], keys: list[float | None], alloc: list[float]
-) -> list[float]:
-    """Every bidder's threshold-integral payment from one key pass.
+def _block_payments(slots: Sequence[float], plan: IroningPlan, accepted: Sequence[float]) -> tuple[float, ...]:
+    """Threshold payments of one block's accepted bids, given in ascending order.
 
-    The breakpoint list {0, reserve, interval endpoints, accepted keys}
-    is shared: a bidder's own key is its bid or an interval's lower
-    endpoint, so cutting the list at the bid gives exactly the bidder's
-    own breakpoints.  Keys rise with the bid, so the pieces below a
-    member's own key k0 are a prefix of the list.  On such a piece with
-    key k the member ranks below the block rivals with keys above k and
-    ties with those at k, which is what ``allocate`` would compute: the
-    share ``sum(slots[pos:pos+t]) / t``, with pos = #(keys > k) - 1 and
-    t = #(keys = k) + 1, is the same for every member.  So ``below[j]``,
-    one running sum per block up to its top key, is every member's
-    integral over the first j pieces.  No breakpoint lies inside an
-    interval, so an ironed member's only other piece runs from k0 to its
-    bid at its own tied share, which is its allocation.  Each ``below``
-    adds the same terms in the same order as a per-member loop would, so
-    the payments keep every bit.
+    Each bid is keyed once.  Keys rise with the bid, so they come out
+    sorted, and the pieces below a member's own key k0 are a prefix of
+    the breakpoints {0, reserve, interval endpoints, the block's keys}.
+    On such a piece with key k the member ranks below the rivals with
+    keys above k and ties with those at k, which is what ``allocate``
+    would compute: the share ``sum(slots[pos:pos+t]) / t``, with
+    pos = #(keys > k) - 1 and t = #(keys = k) + 1, is the same for every
+    member.  So ``below[j]``, one running sum up to the top key, is every
+    member's integral over the first j pieces.  No breakpoint lies inside
+    an interval, so an ironed member's only other piece runs from k0 to
+    its bid at its own tied share, which is its allocation.  Each
+    ``below`` adds the same terms in the same order as a per-member loop
+    would, so the payments keep every bit.  Members are paid one tie
+    group at a time from the top key down, and the walk stops at the
+    first group that no slot weight reaches.
     """
-    pts = {0.0, plan.reserve}
-    for lo, hi in plan.intervals:
-        pts.update((lo, hi))
-    pts.update(k for k in keys if k is not None)
-    pts = sorted(pts)
-    mid_keys = [ironed_key(0.5 * (z0 + z1), plan) for z0, z1 in zip(pts, pts[1:])]
-    payments = [0.0] * env.n
-    for members, slots in env.blocks:
-        block_keys = sorted(keys[i] for i in members if keys[i] is not None)
-        if not block_keys:
-            continue
-        top = bisect_left(pts, block_keys[-1])
-        below = [0.0]
-        for z0, z1, k in zip(pts[:top], pts[1 : top + 1], mid_keys):
-            integral = below[-1]
-            if k is not None:
-                at_most = bisect_right(block_keys, k)
-                pos = len(block_keys) - at_most - 1
-                t = at_most - bisect_left(block_keys, k) + 1
-                integral += sum(slots[pos : pos + t]) / t * (z1 - z0)
-            below.append(integral)
-        for i in members:
-            if alloc[i] == 0.0:
-                continue
-            b, own = bids[i], keys[i]
-            payments[i] = b * alloc[i] - (below[bisect_left(pts, own)] + alloc[i] * (b - own))
-    return payments
+    if not accepted:
+        return ()
+    keys = [ironed_key(b, plan) for b in accepted]
+    pts = sorted(z for z in {0.0, plan.reserve, *keys, *sum(plan.intervals, ())} if z <= keys[-1])
+    below = [0.0]
+    for z0, z1 in zip(pts, pts[1:]):
+        integral = below[-1]
+        k = ironed_key(0.5 * (z0 + z1), plan)
+        if k is not None:
+            at_most = bisect_right(keys, k)
+            pos = len(keys) - at_most - 1
+            t = at_most - bisect_left(keys, k) + 1
+            integral += sum(slots[pos : pos + t]) / t * (z1 - z0)
+        below.append(integral)
+    payments = [0.0] * len(keys)
+    hi = len(keys)
+    while hi:  # each tie group of equal keys, from the top, until the slots run out
+        own = keys[hi - 1]
+        lo = bisect_left(keys, own, 0, hi)
+        alloc = sum(slots[len(keys) - hi : len(keys) - lo]) / (hi - lo)
+        if not alloc:
+            break  # slots are nonincreasing, so no lower group is served either
+        integral = below[bisect_left(pts, own)]
+        for j in range(lo, hi):
+            payments[j] = accepted[j] * alloc - (integral + alloc * (accepted[j] - own))
+        hi = lo
+    return tuple(payments)
 
 
 def interim_payments(env: Environment, plan: IroningPlan, bids: Sequence[float]) -> list[float]:
-    """All bidders' threshold payments from one allocation and one key pass."""
-    alloc = allocate(env, plan, bids)
-    keys = [ironed_key(b, plan) for b in bids]
-    return _threshold_payments(env, plan, bids, keys, alloc)
-
-
-def _realize(env: Environment, groups: list[list[int]], rng) -> list[float]:
-    """One seeded outcome: each tie group in uniform random order, every
-    bidder taking its own block's next slot."""
-    slots_of = [None] * env.n
+    """All bidders' threshold payments, one block at a time; equal bids
+    in a block pay the same, so payments map back to bidders by bid."""
+    payments = [0.0] * env.n
     for members, slots in env.blocks:
-        remaining = iter(slots)  # shared by the block's members
+        accepted = sorted(bids[i] for i in members if bids[i] >= plan.reserve)
+        paid = dict(zip(accepted, _block_payments(slots, plan, accepted)))
         for i in members:
-            slots_of[i] = remaining
-    realized = [0.0] * env.n
-    for group in groups:
-        for j in rng.permutation(len(group)):
-            realized[group[j]] = next(slots_of[group[j]])
-    return realized
+            payments[i] = paid.get(bids[i], 0.0)
+    return payments
 
 
 def run_auction(env: Environment, plan: IroningPlan, bids: Sequence[float], seed) -> AuctionOutcome:
@@ -171,12 +152,23 @@ def run_auction(env: Environment, plan: IroningPlan, bids: Sequence[float], seed
     The realized winner pays its interim per-unit price times the
     realized quantity, so payments average back to the interim ones.
     """
-    validate_bids(bids)
+    for b in bids:
+        if not math.isfinite(b) or b < 0.0:
+            raise ValueError(f"bid {b} must be finite and nonnegative")
     interim = allocate(env, plan, bids)
+    payments = interim_payments(env, plan, bids)
     keys = [ironed_key(b, plan) for b in bids]
-    payments = _threshold_payments(env, plan, bids, keys, interim)
+    # one seeded outcome: each tie group in uniform random order, every bidder taking its own block's next slot
+    slots_of = [None] * env.n
+    for members, slots in env.blocks:
+        remaining = iter(slots)  # shared by the block's members
+        for i in members:
+            slots_of[i] = remaining
+    realized = [0.0] * env.n
     rng = np.random.default_rng(seed)
-    realized = _realize(env, _tie_groups(keys, range(env.n)), rng)
+    for group in _tie_groups(keys, range(env.n)):
+        for j in rng.permutation(len(group)):
+            realized[group[j]] = next(slots_of[group[j]])
     realized_pay = [
         (payments[i] / interim[i]) * realized[i] if interim[i] > 0.0 else 0.0
         for i in range(env.n)

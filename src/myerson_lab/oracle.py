@@ -4,15 +4,17 @@ Three independent revenue oracles: closed-form quadrature of the plan's
 induced revenue curve against each rank block's interim allocation,
 exhaustive enumeration of each rank block's member multisets through the
 engine, and seeded Monte Carlo.  A bid below the reserve gets no key,
-pays nothing and moves no breakpoint, so a profile's total depends only
-on each block's sorted bids at or above the reserve: enumeration and
-Monte Carlo price each such profile once.  Quadrature, exact in one
-vectorised pass per block, prices the additive and no-regret losses;
-enumeration is the independent check it must agree with to float
-precision.  Both are cached per (law, environment, plan); Monte Carlo
-draws on every call.  The discrete virtual-welfare bound, read from
-the concave hull of the curve of the law's own price runs, caps every
-auction's revenue, and ``optimal_plan``'s plan must meet it.
+pays nothing and moves no breakpoint, so a block's payments depend only
+on its own sorted bids at or above the reserve: enumeration prices each
+block's multiset of accepted bids once, and Monte Carlo sorts each
+block's draws in one array pass, groups equal rows and prices each
+distinct row once.  Quadrature, exact in one vectorised pass per block,
+prices the additive and no-regret losses; enumeration is the
+independent check it must agree with to float precision.  Both are
+cached per (law, environment, plan); Monte Carlo draws on every call.
+The discrete virtual-welfare bound, read from the concave hull of the
+curve of the law's own price runs, caps every auction's revenue, and
+``optimal_plan``'s plan must meet it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .curves import concave_envelope, curve_from_price_runs, induced_curve
 from .distributions import ValueDistribution, sample
-from .engine import interim_payments
+# interim_payments is unused here but stays bound: perfbench's traced pass patches it by name
+from .engine import _block_payments, interim_payments  # noqa: F401
 from .environments import Environment
 from .learner import IroningPlan, plan_from_price_runs
 
@@ -126,23 +129,19 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     totals = []
     for _, slots in env.blocks:
         n = len(slots)
-        block = Environment.position(slots, n)
         pows = [[p**c for c in range(n + 1)] for _, p in dist.atoms]
         terms = []
         # each multiset once, as its j bids on the accepted atoms (high; j = n if none is rejected, 0 if
         # all are) and the rest (low, listed once per j), whose product the high part's factors fold on
         for j in range(n if first == 0 else 0, (0 if first == s else n) + 1):
-            lows = [(low, k, math.prod(f)) for low, k, f in _splits(pows, range(first), n - j)]
+            lows = [(k, math.prod(f)) for _, k, f in _splits(pows, range(first), n - j)]
+            if not lows:
+                continue  # the rejected atoms have no mass for n - j bids
             for high, coeff, factors in _splits(pows, range(first, s), j, math.comb(n, j)):
-                total = None
-                for low, low_coeff, prod in lows:
-                    weight = coeff * low_coeff * math.prod(factors, start=prod)
-                    if weight == 0.0:
-                        continue
-                    if total is None:
-                        bids = [vals[a] for a, c in low + high for _ in range(c)]  # one bid per count
-                        total = math.fsum(interim_payments(block, plan, bids))
-                    terms.append(weight * total)
+                accepted = [vals[a] for a, c in high for _ in range(c)]  # ascending, one bid per count
+                total = math.fsum(_block_payments(slots, plan, accepted))
+                for low_coeff, prod in lows:  # a weight that underflows to 0 adds a 0 term, which fsum ignores
+                    terms.append(coeff * low_coeff * math.prod(factors, start=prod) * total)
         totals.append(math.fsum(terms))
     return RevenueReport(expected_revenue=math.fsum(totals), method="enumeration")
 
@@ -195,31 +194,48 @@ def expected_revenue_quadrature(
     return RevenueReport(expected_revenue=math.fsum(totals), method="quadrature")
 
 
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group of equal rows, numbered in sorted row order, and
+    the first row of each group: one lexicographic sort (any column order
+    brings equal rows together) and a row diff."""
+    order = np.lexsort(rows.T)
+    new = np.append(True, np.any(rows[order[1:]] != rows[order[:-1]], axis=1))
+    groups = np.empty_like(order)
+    groups[order] = np.cumsum(new) - 1
+    return groups, order[new]
+
+
 def expected_revenue_mc(
     dist: ValueDistribution, env: Environment, plan: IroningPlan, trials: int, seed
 ) -> RevenueReport:
     """Monte Carlo expected revenue over seeded i.i.d. profiles.
 
-    A profile's total is the correctly rounded ``fsum`` of its payments,
-    and a payment depends only on the bidder's own bid, its block's
-    accepted bids and the profile's set of keys.  So draws whose blocks
-    hold the same sorted bids at or above the reserve have the same total
-    to the bit: each distinct profile is priced once, and the totals keep
-    the draw order.  The guard refuses more than 1e7 drawn bids before
-    any is drawn."""
+    A payment depends only on the bidder's own bid and its block's
+    accepted bids.  So each block's draws, rejected ones keyed -1, are
+    sorted along the row and grouped by one lexicographic sort, and each
+    distinct row is priced once.  A profile's total is the correctly
+    rounded ``fsum`` of its blocks' payments, which is the same to the
+    bit however they are grouped: each distinct profile is summed once,
+    and the totals keep the draw order.  The guard refuses more than 1e7
+    drawn bids before any is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials * env.n > _ENUM_GUARD:
         raise GuardError(f"{trials * env.n} Monte Carlo bids exceed the sampling guard")
     draws = sample(dist, trials * env.n, seed).reshape(trials, env.n)
-    priced: dict[tuple, float] = {}
-    totals = []
-    for row in draws:
-        bids = row.tolist()
-        profile = tuple(tuple(sorted(bids[i] for i in members if bids[i] >= plan.reserve)) for members, _ in env.blocks)
-        if profile not in priced:
-            priced[profile] = math.fsum(interim_payments(env, plan, bids))
-        totals.append(priced[profile])
+    draws[draws < plan.reserve] = -1.0  # rejected bids key alike, below every accepted one
+    ids = np.empty((trials, len(env.blocks)), dtype=np.intp)  # each draw's distinct row in each block
+    payments = []  # each block's payments of its distinct rows
+    for b, (members, slots) in enumerate(env.blocks):
+        rows = draws[:, members]
+        rows.sort(kind="stable")  # lexsort's merge sort: no second sort routine to load
+        ids[:, b], firsts = _row_groups(rows)
+        payments.append([_block_payments(slots, plan, [x for x in rows[d].tolist() if x >= 0.0]) for d in firsts])
+    del draws, rows
+    profiles, firsts = _row_groups(ids)
+    priced = [math.fsum(p for pays, g in zip(payments, ids[d].tolist()) for p in pays[g]) for d in firsts]
+    del ids, payments
+    totals = [priced[p] for p in profiles.tolist()]
     mean = math.fsum(totals) / trials
     if trials > 1:
         var = math.fsum((t - mean) ** 2 for t in totals) / (trials - 1)

@@ -5,7 +5,8 @@ with arrays, plus a discrete law's CDF and generalized inverse, a
 matroid's independence oracle read from its JSON and greedy selection
 with it, the brute force that ``Environment.blocks`` is checked against,
 the rank key by a scan of every interval, the threshold payment that
-re-runs ``allocate`` on every piece of the bid line, enumeration and
+re-runs ``allocate`` on every piece of the bid line (on the bidder's
+block alone, or split at every key of the profile), enumeration and
 Monte Carlo revenue that price every multiset and every draw, and the
 k-unit interim allocation with its integral and derivative, the k-by-k
 form of the Bernstein mixture that revenue quadrature evaluates per
@@ -380,13 +381,30 @@ def ironed_key_scan(bid: float, plan: IroningPlan) -> float | None:
 
 
 def myerson_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
-    """Threshold-integral payment for one bidder, computed exactly.
+    """Threshold-integral payment for one bidder, computed exactly on its
+    rank block alone.
+
+    Only the bidder's block competes with it, so the block is rerun as
+    the position auction of its slots, and the integral splits only at
+    that block's keys.  This is the reference that the faster
+    ``interim_payments`` must match to the bit.
+    """
+    members, slots = next(block for block in env.blocks if bidder in block[0])
+    block_env = Environment.position(slots, len(members))
+    return whole_profile_payment(block_env, plan, [bids[i] for i in members], members.index(bidder))
+
+
+def whole_profile_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
+    """Threshold-integral payment for one bidder, split at every bidder's key.
 
     p = b * x(b) - integral of x(z) dz over [0, b], where x(z) is the
     bidder's allocation when bidding z against the fixed others; x is
     piecewise constant, so each piece is evaluated at its midpoint by
-    calling ``allocate``.  This is the reference that the faster
-    ``interim_payments`` must match to the bit.
+    calling ``allocate``.  On a one-block environment this is the
+    block's payment.  On a partition matroid it also splits at other
+    blocks' keys, which moves no allocation but can round the integral
+    differently: the engine priced every profile this way before it
+    priced each block on its own keys.
     """
     alloc_at_bid = allocate(env, plan, bids)[bidder]
     if alloc_at_bid == 0.0:

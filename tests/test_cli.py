@@ -270,6 +270,14 @@ ARRAY = "[1, 2]"
          "sample 11.0 outside [0, 10.0]"),
         ("\n  \n", ["learn", "--samples", "bad.json", "--delta", "0.1", "--h-max", "10", "--out", "plan.json"],
          "need a 1-D array of at least one sample"),
+        (ARRAY, ["run", "--env", "e.json", "--plan", "p.json", "--bids", "bids.csv", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (ARRAY, ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "p.json", "--method", "mc", "--trials", "10",
+                 "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (ARRAY, ["experiment", "loss", "--dist", "d.json", "--env", "e.json", "--m-list", "10", "--trials", "1",
+                 "--seed", "-2"], "--seed must be >= 0, got -2"),
+        (ARRAY, ["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", "3", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
@@ -280,6 +288,7 @@ ARRAY = "[1, 2]"
         "weights_beyond_float", "atom_prob_nan", "component_weight_nan", "gamma_inf", "gamma_nan",
         "samples_h_max_inf", "bound_h_max_nan", "bound_n_negative", "bound_h_max_negative",
         "samples_h_max_negative", "learn_h_max_inf", "learn_sample_above_h_max", "learn_no_samples",
+        "run_negative_seed", "eval_negative_seed", "loss_negative_seed", "regret_negative_seed",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

@@ -8,7 +8,7 @@ from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan
 
 from conftest import random_aligned_plan, random_discrete, random_slot_env
-from reference import ironed_key_scan, myerson_payment, total_interim_payment
+from reference import ironed_key_scan, myerson_payment, total_interim_payment, whole_profile_payment
 
 EX2_PLAN = IroningPlan(intervals=((1.0, 5.0),), reserve=1.0)
 SINGLE10 = Environment.single_item(10)
@@ -342,6 +342,53 @@ def test_interim_payments_equal_reference_on_large_blocks():
         pays = interim_payments(env, plan, bids)
         assert pays == [myerson_payment(env, plan, bids, i) for i in range(env.n)]
         assert run_auction(env, plan, bids, case).interim_payment == tuple(pays)
+
+
+def _partition_case(rng, grid):
+    """A partition matroid of 6-12 bidders in 2-3 parts of capacity 1-3,
+    a plan with at least one interval, and continuous bids."""
+    n, parts = int(rng.integers(6, 13)), int(rng.integers(2, 4))
+    env = Environment.partition_matroid(
+        [int(rng.integers(0, parts)) for _ in range(n)], [int(rng.integers(1, 4)) for _ in range(parts)]
+    )
+    plan = _constructor_plan(rng, grid)
+    while not plan.intervals:
+        plan = _constructor_plan(rng, grid)
+    return env, plan, rng.uniform(0.0, 8.0, size=n).tolist()
+
+
+def test_partition_payments_split_only_at_their_own_block_keys():
+    # each block is priced on its own breakpoints, as the block-alone
+    # reference is; splitting also at other parts' keys moves no share but
+    # can round the integral differently, and this corpus holds such profiles
+    rng = np.random.default_rng(37)
+    grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5]
+    split_differently = 0
+    for _ in range(600):
+        env, plan, bids = _partition_case(rng, grid)
+        pays = interim_payments(env, plan, bids)
+        assert pays == [myerson_payment(env, plan, bids, i) for i in range(env.n)]
+        whole = [whole_profile_payment(env, plan, bids, i) for i in range(env.n)]
+        assert pays == pytest.approx(whole, rel=1e-14, abs=1e-14)
+        split_differently += pays != whole
+    assert split_differently >= 1
+
+
+def test_block_payments_ignore_other_blocks_bids():
+    # redrawing every bid outside one block, four times per block, leaves
+    # that block's payments unchanged to the bit
+    rng = np.random.default_rng(41)
+    grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.5]
+    for _ in range(300):
+        env, plan, bids = _partition_case(rng, grid)
+        pays = interim_payments(env, plan, bids)
+        for members, _ in env.blocks:
+            for _ in range(4):
+                redrawn = rng.uniform(0.0, 8.0, size=env.n).tolist()
+                for i in members:
+                    redrawn[i] = bids[i]
+                again = interim_payments(env, plan, redrawn)
+                assert [again[i] for i in members] == [pays[i] for i in members]
 
 
 def test_realized_payments_pinned():

@@ -8,7 +8,7 @@ import pytest
 from myerson_lab import oracle as oracle_module
 from myerson_lab.curves import concave_envelope, curve_from_price_runs, induced_curve, pointwise_gap
 from myerson_lab.distributions import ValueDistribution, sample
-from myerson_lab.engine import interim_payments
+from myerson_lab.engine import _block_payments
 from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.oracle import (
@@ -315,33 +315,34 @@ CACHE_CASES = [
 ]
 
 
-def _accepted_profile(env, plan, bids) -> tuple:
-    return tuple(tuple(sorted(bids[i] for i in members if bids[i] >= plan.reserve)) for members, _ in env.blocks)
+def _accepted_blocks(env, plan, bids) -> set:
+    """Each block's (index, sorted bids at or above the reserve)."""
+    return {(b, tuple(sorted(bids[i] for i in members if bids[i] >= plan.reserve))) for b, (members, _) in enumerate(env.blocks)}
 
 
-def _counting_payments(patch, calls):
-    patch.setattr(oracle_module, "interim_payments", lambda *args: calls.append(args) or interim_payments(*args))
+def _counting_block_payments(patch, calls):
+    patch.setattr(oracle_module, "_block_payments", lambda *args: calls.append(args) or _block_payments(*args))
 
 
 def test_mc_prices_each_distinct_profile_once_to_the_bit(monkeypatch):
-    # one interim_payments call per distinct profile (its blocks' sorted
-    # bids at or above the reserve), and the same mean and stderr as
-    # pricing every draw
+    # one _block_payments call per distinct (block, accepted multiset), and
+    # the same mean and stderr as pricing every draw
     trials = 500
     for seed, (dist, env, plan) in enumerate(CACHE_CASES):
         draws = sample(dist, trials * env.n, seed).reshape(trials, env.n).tolist()
-        distinct = {_accepted_profile(env, plan, row) for row in draws}
+        distinct = set().union(*(_accepted_blocks(env, plan, row) for row in draws))
         calls = []
         with monkeypatch.context() as patch:
-            _counting_payments(patch, calls)
+            _counting_block_payments(patch, calls)
             rep = expected_revenue_mc(dist, env, plan, trials, seed)
         assert len(calls) == len(distinct)
-        assert (len(distinct) == trials) == (dist is MIXTURE)  # only the continuous law repeats no profile
+        assert all(list(accepted) == sorted(accepted) for _, _, accepted in calls)
+        assert (len(distinct) == trials) == (dist is MIXTURE)  # only the continuous law repeats no block row
         assert rep == mc_revenue_uncached(dist, env, plan, trials, seed)
 
 
 def test_enum_prices_multisets_that_differ_below_the_reserve_once_to_the_bit(monkeypatch):
-    # one interim_payments call per block and multiset of its accepted
+    # one _block_payments call per block and multiset of its accepted
     # bids, and the same sum as pricing every multiset
     for dist, env, plan in CACHE_CASES[:3]:
         vals = [v for v, _ in dist.atoms]
@@ -352,7 +353,7 @@ def test_enum_prices_multisets_that_differ_below_the_reserve_once_to_the_bit(mon
         multisets = sum(math.comb(len(vals) + len(m) - 1, len(m)) for m, _ in env.blocks)
         calls = []
         with monkeypatch.context() as patch:
-            _counting_payments(patch, calls)
+            _counting_block_payments(patch, calls)
             rep = expected_revenue_enum.__wrapped__(dist, env, plan)  # past the lru_cache
         assert len(calls) == priced
         # a saving needs two atoms below the reserve, as in the position case
