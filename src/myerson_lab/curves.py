@@ -12,7 +12,8 @@ either side, and it is linear in between.  The concave envelope prunes,
 in whole-array passes, the points on or below the chord of their
 neighbours, then runs a monotone chain over the rest; the gap scan reads
 each grid piece's hull segment off a count of hull vertices.  The
-learner runs the same chain and scan on price-run arrays.  One
+learner runs the same chain on each row of a price-run grid, and the
+same scan once over all rows' grids laid end to end.  One
 construction, ``induced_curve``, applies an ironing plan to price runs:
 every ironing chord and reserve plateau comes from it.
 """
@@ -147,17 +148,26 @@ class PriceRuns:
         return len(self.prices)
 
 
-def _run_grid(runs: PriceRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid of q * price(q): 0, the inner edges of the runs once empty
-    ones are dropped and those of one price merged, and 1; with the price
-    just below each point (the first run's at q = 0, which a first run of
-    zero width still names) and just above it (the last at q = 1)."""
-    q0, q1, p = runs.edges[:-1], runs.edges[1:], runs.prices
-    keep = q1 > q0
-    q0, p = q0[keep], p[keep]
-    opens = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))  # runs that open a new price
-    price = p[opens]
-    return np.append(q0[opens], 1.0), np.concatenate((runs.prices[:1], price)), np.append(price, price[-1])
+def _run_grid(edges: np.ndarray, keep: np.ndarray, prices: np.ndarray, first) -> tuple[np.ndarray, ...]:
+    """The grid of q * price(q) on rows of contiguous runs on [0, 1] that
+    share their prices and which of them are empty.
+
+    Each row of ``edges`` holds the runs' edges; ``keep`` marks the runs
+    of positive width.  Runs of one price are merged once empty ones are
+    dropped, and each row's grid is 0, its inner edges and 1.  The prices
+    just below each grid point (``first`` at q = 0) and just above it (the
+    last run's at q = 1) are shared by the rows."""
+    price = prices[keep]
+    opens = keep.nonzero()[0][np.concatenate(([True], price[1:] != price[:-1]))]  # runs that open a new price
+    price = prices[opens]
+    qs = np.concatenate((edges[:, opens], np.ones((len(edges), 1))), axis=1)
+    return qs, np.concatenate(([first], price)), np.concatenate((price, price[-1:]))
+
+
+def _price_run_grid(runs: PriceRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-row ``_run_grid`` of ``runs``; the price at q = 0 is the
+    first run's, which a first run of zero width still names."""
+    return _run_grid(runs.edges[None], runs.edges[1:] > runs.edges[:-1], runs.prices, runs.prices[0])
 
 
 def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
@@ -167,7 +177,7 @@ def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
     change at a boundary q becomes a jump pair (q, q*price_left),
     (q, q*price_right).
     """
-    qs, left, right = _run_grid(runs)
+    (qs,), left, right = _price_run_grid(runs)
     return PiecewiseLinearCurve(np.repeat(qs, 2)[1:-1], np.stack((qs * left, qs * right), 1).reshape(-1)[1:-1])
 
 
@@ -243,7 +253,7 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     return PiecewiseLinearCurve(qs[hull], top[hull])
 
 
-def _gap_ends(qs, left, right, hull, hv, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _gap_ends(qs, left, right, hull, hv, tol: float, live=None) -> tuple[np.ndarray, np.ndarray]:
     """Grid positions where the maximal open intervals with hull - curve
     above tol start and end.
 
@@ -257,23 +267,32 @@ def _gap_ends(qs, left, right, hull, hv, tol: float) -> tuple[np.ndarray, np.nda
     either one-sided limit of the curve splits adjacent gap pieces: the
     hull is linear across each interval, so ironing by chords reproduces
     it exactly.
+
+    The arrays may also hold several rows' grids one after another, each
+    starting at q = 0, with the arrays ending at the last row's last hull
+    vertex.  ``live`` then marks the pieces up to each row's last hull
+    vertex; no interval holds any other piece.  Those lie under one
+    segment from that vertex, above q = 0, to the next row's first point,
+    so no piece divides by zero.
     """
-    width = np.diff(hull)  # the grid pieces under each hull segment
+    width = hull[1:] - hull[:-1]  # the grid pieces under each hull segment
     hq = qs[hull]
-    q0, v0 = np.repeat(hq[:-1], width), np.repeat(hv[:-1], width)
-    dq, dv = np.repeat(np.diff(hq), width), np.repeat(np.diff(hv), width)
+    q0, v0 = hq[:-1].repeat(width), hv[:-1].repeat(width)
+    dq, dv = (hq[1:] - hq[:-1]).repeat(width), (hv[1:] - hv[:-1]).repeat(width)
     lo, hi = qs[:-1], qs[1:]  # the pieces' ends
-    hull_at = np.append(v0 + (lo - q0) / dq * dv, hv[-1])  # at every grid point, exact at hull vertices
+    hull_at = np.concatenate((v0 + (lo - q0) / dq * dv, hv[-1:]))  # at every grid point, exact at hull vertices
     mid = 0.5 * (lo + hi)
     onto = mid == hi
     curve_mid = np.where(onto, right[1:], right[:-1] + (mid - lo) / (hi - lo) * (left[1:] - right[:-1]))
     differs = np.where(onto, hull_at[1:], v0 + (mid - q0) / dq * dv) - curve_mid > tol
+    if live is not None:
+        differs &= live
     # a differing piece extends the interval of the one before it unless
     # the hull touches a one-sided limit of the curve where they meet
     inner = hull_at[1:-1]
     joins = differs[:-1] & differs[1:] & (inner - right[1:-1] > tol) & (inner - left[1:-1] > tol)
     apart = ~np.concatenate(([False], joins, [False]))  # piece boundaries no interval spans
-    return np.flatnonzero(differs & apart[:-1]), np.flatnonzero(differs & apart[1:]) + 1
+    return (differs & apart[:-1]).nonzero()[0], (differs & apart[1:]).nonzero()[0] + 1
 
 
 def difference_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: float) -> tuple:

@@ -4,11 +4,9 @@ The quantile estimator maps x to the ceil(x*m)-th order statistic
 (clamped to the first one near zero, to 0 below the domain and to the
 bound H above it).  It is constant on each distinct value's block of
 order statistics, so ``EmpiricalQuantile`` keeps only the distinct
-values and their counts; merging a further batch of samples into them
-costs a pass over the distinct values plus a sort of the batch, never a
-re-sort of the samples already held.  Shifted by the uniform-deviation
-radius epsilon, the blocks become the ``PriceRuns`` of a pessimistic and
-an optimistic revenue curve that bracket the true one with high
+values and their counts.  Shifted by the uniform-deviation radius
+epsilon, the blocks become the ``PriceRuns`` of a pessimistic and an
+optimistic revenue curve that bracket the true one with high
 probability.  All of it is linear in the number of distinct values.
 """
 
@@ -24,25 +22,14 @@ from .curves import PiecewiseLinearCurve, PriceRuns, curve_from_price_runs
 __all__ = ["EmpiricalQuantile", "dkw_epsilon", "r_min_curve", "r_max_curve"]
 
 
-def _checked_samples(samples, h_max: float) -> np.ndarray:
-    """The samples as a float array: 1-D, nonempty, each in [0, h_max]."""
-    xs = np.asarray(samples, dtype=float)
-    if xs.ndim != 1 or len(xs) < 1:
-        raise ValueError("need a 1-D array of at least one sample")
-    if not (xs.min() >= 0.0 and xs.max() <= h_max):  # NaN fails both
-        outside = xs[~((0.0 <= xs) & (xs <= h_max))]
-        raise ValueError(f"sample {outside[0]} outside [0, {h_max}]")
-    return xs
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalQuantile:
     """Samples with a known support bound, as their distinct values.
 
     ``values`` are the distinct samples, ascending, and ``counts`` their
     positive multiplicities (what ``np.unique`` gives); ``m`` is the
-    number of samples.  Build one with ``from_samples`` and grow it with
-    ``merged``, which check the samples.
+    number of samples.  Build one with ``from_samples``, which checks the
+    samples.
     """
 
     values: np.ndarray
@@ -56,25 +43,19 @@ class EmpiricalQuantile:
 
     @staticmethod
     def from_samples(samples, h_max: float) -> "EmpiricalQuantile":
+        """The quantile of a 1-D, nonempty array of samples, each in [0, h_max]."""
         h_max = float(h_max)
-        values, counts = np.unique(_checked_samples(samples, h_max), return_counts=True)
-        return EmpiricalQuantile(values, counts, h_max)
-
-    def merged(self, samples) -> "EmpiricalQuantile":
-        """The quantile of the samples held plus these, checked as
-        ``from_samples`` checks them.
-
-        The held values are one ascending run, so a stable sort of them
-        followed by the batch costs a pass over the values plus a sort of
-        the batch; equal values then pool their counts.
-        """
-        xs = _checked_samples(samples, self.h_max)
-        both = np.concatenate((self.values, xs))
-        order = np.argsort(both, kind="stable")
-        weights = np.concatenate((self.counts, np.ones(len(xs), dtype=self.counts.dtype)))[order]
-        both = both[order]
-        starts = np.flatnonzero(np.concatenate(([True], both[1:] != both[:-1])))
-        return EmpiricalQuantile(both[starts], np.add.reduceat(weights, starts), self.h_max)
+        xs = np.asarray(samples, dtype=float)
+        if xs.ndim != 1 or len(xs) < 1:
+            raise ValueError("need a 1-D array of at least one sample")
+        if not (xs.min() >= 0.0 and xs.max() <= h_max):  # NaN fails both
+            outside = xs[~((0.0 <= xs) & (xs <= h_max))]
+            raise ValueError(f"sample {outside[0]} outside [0, {h_max}]")
+        # np.unique(xs, return_counts=True), without its dispatch overhead
+        xs = np.sort(xs)
+        starts = np.concatenate(([True], xs[1:] != xs[:-1])).nonzero()[0]  # each distinct value's first sample
+        counts = np.concatenate((starts[1:], [len(xs)])) - starts
+        return EmpiricalQuantile(xs[starts], counts, h_max)
 
 
 def dkw_epsilon(m: int, delta: float) -> float:

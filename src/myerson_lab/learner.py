@@ -5,7 +5,9 @@ deviation radius, gives the price runs of the pessimistic revenue curve;
 the plan is read off the runs' arrays in one pass up to the curve's
 argmax, the reserve quantile: the gaps between the curve and its concave
 envelope are the quantile ironing intervals, and indexing the run prices
-maps them and the reserve quantile to value space.
+maps them and the reserve quantile to value space.  The learner takes a
+matrix of sample counts over one support, one radius per row, and learns
+every row in one call; ``compute_auction`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _hull_indices, _run_grid, induced_curve
+import numpy as np
+
+from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _hull_indices, _price_run_grid, _run_grid, induced_curve
 
 # unused here but bound: perfbench's traced pass patches these names
 from .curves import argmax_quantile, concave_envelope, difference_intervals, price_left_of_runs  # noqa: F401
-from .empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs
+from .empirical import min_price_runs  # noqa: F401
+from .empirical import EmpiricalQuantile, dkw_epsilon
 from .environments import _json_list, _json_number, _json_object
 
 __all__ = [
@@ -110,30 +115,110 @@ class IroningPlan:
         return hashlib.sha1(self.to_json().encode()).hexdigest()[:12]
 
 
-def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
-    """Ironing plan read off a price-run curve q -> q * price(q).
+_RESERVE, _START, _STOP = 1, 2, 4  # marks of the grid points that hold q* and open and close gaps
 
-    Run prices fall, so the curve's upper limit at each grid point is the
-    quantile times the price just below it, and the first maximum of
-    those is the reserve quantile q*.  Only the points up to q* are kept:
-    the hull left of q* depends on them alone and touches the curve at
-    q*, and a gap beyond q* maps to an interval at or below the reserve,
-    which ``canonical`` prunes.  The gaps between the curve and its hull,
-    and q*, map to value space as the price just below each grid point.
-    Runs whose prices rise are refused.
+
+def _plan(left: np.ndarray, top, starts: np.ndarray, stops: np.ndarray) -> IroningPlan:
+    """The plan with q* at grid position ``top`` and gaps from each start to each stop."""
+    intervals = zip(left[stops].tolist(), left[starts].tolist())
+    return IroningPlan.canonical([(lo, hi) for lo, hi in intervals if lo < hi], left[top])
+
+
+def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: float) -> list[IroningPlan]:
+    """Ironing plans read off the curves q * price(q) on the rows of a
+    grid ``qs``, whose prices just below and above each point, ``left``
+    and ``right``, the rows share and do not rise.
+
+    So a curve's upper limit at each grid point is the quantile times the
+    price just below it, and the first maximum of those is the reserve
+    quantile q*.  Only the points up to q* are kept: the hull left of q*
+    depends on them alone and touches the curve at q*, and a gap beyond q*
+    maps to an interval at or below the reserve, which ``canonical``
+    prunes.  The gaps between the curve and its hull, and q*, map to value
+    space as the price just below each grid point.  Each row's hull is
+    found alone, and one scan finds the gaps of all rows laid end to end.
+    A row's plan is fixed by which grid points hold q* and open and close
+    gaps, so each distinct row of such marks is built once.
     """
-    qs, left, right = _run_grid(runs)
+    upper = qs * left
+    k = upper.argmax(axis=1)  # each row's reserve quantile's grid position
+    ironed = (k > 1).nonzero()[0]  # a hull of two points leaves no gap
+    starts = stops = np.zeros(0, dtype=np.intp)  # gap ends in the ironed rows laid end to end
+    g = qs.shape[1]
+    if len(ironed):
+        tops = k[ironed]
+        iq, iu = (qs, upper) if len(ironed) == len(qs) else (qs[ironed], upper[ironed])
+        hull = np.concatenate(
+            [j * g + _hull_indices(q[: c + 1], u[: c + 1]) for j, (q, u, c) in enumerate(zip(iq, iu, tops.tolist()))]
+        )
+        end = hull[-1] + 1  # the last row's q*
+        live = (np.arange(g) < tops[:, None]).ravel()[: end - 1] if len(ironed) > 1 else None
+        lined_q, lined_u, lined_right = iq.ravel()[:end], iu.ravel()[:end], (iq * right).ravel()[:end]
+        starts, stops = _gap_ends(lined_q, lined_u, lined_right, hull, lined_u[hull], 1e-9 * h_max, live)
+    if len(qs) == 1:  # a lone row's plan needs no marks
+        return [_plan(left, k[0], starts, stops)]
+    marks = np.zeros(qs.shape, dtype=np.uint8)
+    marks[np.arange(len(qs)), k] = _RESERVE
+    for mark, at in ((_START, starts), (_STOP, stops)):
+        marks[ironed[at // g], at % g] |= mark
+    keys = marks.view(np.dtype((np.void, g))).ravel().tolist()
+    plans = {}
+    for key in dict.fromkeys(keys):
+        row = np.frombuffer(key, dtype=np.uint8)
+        plans[key] = _plan(left, (row & _RESERVE).argmax(), (row & _START).nonzero()[0], (row & _STOP).nonzero()[0])
+    return [plans[key] for key in keys]
+
+
+def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
+    """Ironing plan read off a price-run curve q -> q * price(q) (see
+    ``_grid_plans``).  Runs whose prices rise are refused."""
+    qs, left, right = _price_run_grid(runs)
     if (left[2:] > left[1:-1]).any():
         raise ValueError("run prices must be nonincreasing")
-    upper = qs * left
-    k = int(upper.argmax())  # the reserve quantile's grid position
-    intervals = []
-    if k > 1:  # a hull of two points leaves no gap
-        qs, upper = qs[: k + 1], upper[: k + 1]
-        hull = _hull_indices(qs, upper)
-        starts, ends = _gap_ends(qs, upper, qs * right[: k + 1], hull, upper[hull], 1e-9 * h_max)
-        intervals = [(lo, hi) for lo, hi in zip(left[ends].tolist(), left[starts].tolist()) if lo < hi]
-    return IroningPlan.canonical(intervals, left[k])
+    return _grid_plans(qs, left, right, h_max)[0]
+
+
+def _count_grids(values: np.ndarray, counts: np.ndarray, eps: np.ndarray) -> list:
+    """The grids of the pessimistic curves of rows of ``counts``, the
+    samples at each of the ascending ``values`` (a row may lack some, not
+    all), each at its radius in ``eps``: (rows, grid) for each group of
+    rows whose runs are nonempty alike, so that they share one grid shape.
+
+    A row's runs are those of ``min_price_runs``, plus an empty run for
+    each value it lacks and a price-0 run from 1 - epsilon to 1, which is
+    all that a radius of 1 or more leaves.
+    """
+    r, s = counts.shape
+    # run edges (1 - eps) - (order statistics at or above each value) / m,
+    # highest value first and clamped at 0, then 1 - eps and 1
+    edges = np.ones((r, s + 2))
+    above = counts.cumsum(axis=1)[:, ::-1] / counts.sum(axis=1, keepdims=True)
+    np.maximum((1.0 - eps)[:, None] - above, 0.0, out=edges[:, :s])
+    np.maximum(1.0 - eps, 0.0, out=edges[:, s])
+    del above  # one array of runs fewer alive while the grids are built
+    prices = np.concatenate((values[::-1], [0.0]))
+    nonempty = edges[:, 1:] > edges[:, :-1]
+    groups = [np.zeros(1, dtype=np.intp)]
+    if r > 1:  # an integer key per row of the nonempty-run mask
+        packed = np.packbits(nonempty, axis=1)
+        key = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_inverse=True)[1]
+        groups = [(key == group).nonzero()[0] for group in range(key.max() + 1)]
+    grids = []
+    for rows in groups:
+        keep = nonempty[rows[0]]
+        grids.append((rows, _run_grid(edges[rows] if len(rows) < r else edges, keep, prices, prices[keep][0])))
+    return grids
+
+
+def _count_plans(values: np.ndarray, counts: np.ndarray, eps: np.ndarray, h_max: float) -> list[IroningPlan]:
+    """The plan ``compute_auction`` learns from each row of ``counts`` (see
+    ``_count_grids``) at its radius; a radius of 1 or more gives the empty
+    plan.  The run edges are freed before the hulls are found."""
+    plans: list = [None] * len(counts)
+    for rows, grid in _count_grids(values, counts, eps):
+        for i, plan in zip(rows.tolist(), _grid_plans(*grid, h_max)):
+            plans[i] = plan
+    return plans
 
 
 def optimal_induced(runs: PriceRuns, h_max: float) -> PiecewiseLinearCurve:
@@ -160,12 +245,7 @@ def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
         eq = samples
     else:
         eq = EmpiricalQuantile.from_samples(samples, h_max)
-    eps = dkw_epsilon(eq.m, delta)
-    if eps >= 1.0:
-        # the shifted estimator clamps to price 0 everywhere: no usable
-        # confidence yet, so run the plain welfare auction
-        return IroningPlan.empty()
-    return plan_from_price_runs(min_price_runs(eq, eps), h_max)
+    return _count_plans(eq.values, eq.counts[None], np.array([dkw_epsilon(eq.m, delta)]), h_max)[0]
 
 
 def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, h_max: float) -> int:

@@ -2,12 +2,14 @@
 
 Round zero deploys the plain welfare auction (empty plan); every later
 round learns a plan at per-round confidence delta/T from the empirical
-quantile of all bids seen so far, and deploys it.  That quantile is kept
-as distinct values and counts, and each round's fresh bids are merged
-into it, so a round costs the same at every t on a law with few atoms.
-Each round is charged the expected loss of the deployed plan against the
-optimal plan (not the noisy realized revenue of its bids).  Both
-revenues come from the quadrature oracle's cache, once per process.
+quantile of all bids seen so far, and deploys it.  Bids come from a
+discrete law, so all bids so far are a vector of counts over its atoms:
+each round adds its bids' counts to the last round's, and the learner
+takes a block of rounds' count vectors in one call, building each
+distinct plan once.  Each round is charged the expected loss of the
+deployed plan against the optimal plan (not the noisy realized revenue
+of its bids).  Both revenues come from the quadrature oracle's cache,
+once per process.
 """
 
 from __future__ import annotations
@@ -18,15 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ValueDistribution, sample
-# run_auction is unused here but stays bound: perfbench's traced pass patches it by name
+# run_auction and compute_auction are unused here but stay bound: perfbench's traced pass
+# patches them by name, and its Tracer.patch raises KeyError on a name the module lacks
 from .engine import run_auction  # noqa: F401
 from .environments import Environment
-from .learner import IroningPlan, compute_auction
-from .empirical import EmpiricalQuantile, dkw_epsilon
+from .learner import compute_auction  # noqa: F401
+from .learner import IroningPlan, _count_plans
+from .empirical import dkw_epsilon
 # expected_revenue_enum is unused here but stays bound: perfbench's traced pass patches it by name
 from .oracle import expected_revenue_enum, expected_revenue_quadrature, optimal_plan  # noqa: F401
 
 __all__ = ["RoundRecord", "RegretTrace", "run_no_regret", "regret_bound"]
+
+_BLOCK_CELLS = 1024  # count cells (rounds x atoms) the learner takes in one call
 
 TRACE_FIELDS = (
     "t",
@@ -96,7 +102,9 @@ def run_no_regret(
     the oracle's expected revenue of its plan, not the realized bids, so
     the trace depends on the seed only through the plans it learns: while
     epsilon_t is too wide to reveal any atom, all seeds give ``==`` traces.
-    Plans are priced by the shared quadrature cache, once per process.
+    Rounds learn in blocks of ``_BLOCK_CELLS // atoms`` count vectors, so
+    the learner's memory does not grow with T.  Plans are priced by the
+    shared quadrature cache, once per process.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -105,6 +113,8 @@ def run_no_regret(
     if not dist.is_discrete:
         raise ValueError("loss accounting needs a discrete distribution")
     n, h = env.n, dist.h_max
+    support = np.array([v for v, _ in dist.atoms])
+    s = len(support)
 
     def bids(t: int) -> np.ndarray:
         """Round t's bids, seeded by spawn child 2t of SeedSequence([seed, 0])
@@ -114,51 +124,32 @@ def run_no_regret(
 
     opt_rev = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
     plan_cache: dict[IroningPlan, tuple[float, str]] = {}
-
-    def plan_value(plan: IroningPlan) -> tuple[float, str]:
-        """The plan's expected revenue and short hash, computed once per trace."""
-        if plan not in plan_cache:
-            rev = expected_revenue_quadrature(dist, env, plan).expected_revenue
-            plan_cache[plan] = rev, plan.short_hash()
-        return plan_cache[plan]
-
     rows: list[RoundRecord] = []
-    rev0, hash0 = plan_value(IroningPlan.empty())
-    loss0 = max(0.0, opt_rev - rev0)
-    cumulative = loss0
-    rows.append(
-        RoundRecord(
-            t=0,
-            m_t=0,
-            epsilon_t=math.inf,
-            plan_hash=hash0,
-            expected_round_revenue=rev0,
-            round_loss=loss0,
-            cumulative_loss=cumulative,
-            bound_t=n * h,
-        )
-    )
-    seen = EmpiricalQuantile.from_samples(bids(0), h)
-    for t in range(1, T + 1):
-        rev_t, hash_t = plan_value(compute_auction(seen, delta / T, h))
-        loss_t = max(0.0, opt_rev - rev_t)
-        if opt_rev - rev_t < -1e-9:
+
+    def record(t: int, epsilon_t: float, plan: IroningPlan, bound_t: float) -> None:
+        """Charge round t the loss of ``plan``, priced once per trace."""
+        if plan not in plan_cache:
+            plan_cache[plan] = expected_revenue_quadrature(dist, env, plan).expected_revenue, plan.short_hash()
+        rev, plan_hash = plan_cache[plan]
+        if opt_rev - rev < -1e-9:
             raise RuntimeError("deployed plan beats the oracle optimum; oracle bug")
-        cumulative += loss_t
-        rows.append(
-            RoundRecord(
-                t=t,
-                m_t=n * t,
-                epsilon_t=dkw_epsilon(n * t, delta / T),
-                plan_hash=hash_t,
-                expected_round_revenue=rev_t,
-                round_loss=loss_t,
-                cumulative_loss=cumulative,
-                bound_t=3.0 * math.sqrt(math.log(2.0 * T / delta) / (2.0 * n * t)) * n * h,
-            )
-        )
-        if t < T:  # no round learns from the last round's bids
-            seen = seen.merged(bids(t))
+        loss = max(0.0, opt_rev - rev)
+        cumulative = loss + (rows[-1].cumulative_loss if rows else 0.0)
+        rows.append(RoundRecord(t, n * t, epsilon_t, plan_hash, rev, loss, cumulative, bound_t))
+
+    record(0, math.inf, IroningPlan.empty(), n * h)
+    seen = np.zeros(s, dtype=np.int64)  # bids of the rounds before the block, per atom
+    block = max(1, _BLOCK_CELLS // s)
+    for first in range(1, T + 1, block):
+        ts = range(first, min(first + block, T + 1))
+        # round t learns from the bids of rounds 0 to t - 1 (no round learns from the last round's bids)
+        atoms = support.searchsorted(np.concatenate([bids(t - 1) for t in ts]))
+        drawn = np.bincount(np.arange(len(ts)).repeat(n) * s + atoms, minlength=len(ts) * s)
+        counts = seen + drawn.reshape(len(ts), s).cumsum(axis=0)
+        seen = counts[-1]
+        epsilons = [dkw_epsilon(n * t, delta / T) for t in ts]
+        for t, eps_t, plan in zip(ts, epsilons, _count_plans(support, counts, np.array(epsilons), h)):
+            record(t, eps_t, plan, 3.0 * math.sqrt(math.log(2.0 * T / delta) / (2.0 * n * t)) * n * h)
     return RegretTrace(rows=tuple(rows))
 
 

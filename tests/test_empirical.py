@@ -166,42 +166,11 @@ def test_curve_construction_total(xs, eps):
         assert curve.vertices[-1][0] == 1.0
 
 
-def _same_quantile(a: EmpiricalQuantile, b: EmpiricalQuantile) -> None:
-    assert a.values.tolist() == b.values.tolist() and a.values.dtype == b.values.dtype
-    assert a.counts.tolist() == b.counts.tolist() and a.counts.dtype == b.counts.dtype
-    assert (a.m, a.h_max) == (b.m, b.h_max)
-    for eps in (0.0, 0.05, 0.3):
-        for runs in (min_price_runs, max_price_runs):
-            ra, rb = runs(a, eps), runs(b, eps)
-            assert ra.edges.tolist() == rb.edges.tolist()
-            assert ra.prices.tolist() == rb.prices.tolist()
-
-
-def test_merged_equals_from_samples_of_the_concatenation():
-    # batches bring new values, ties with held values, ties among
-    # themselves, and the ends 0 and h_max
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        grid = rng.choice([0.0, 0.5, 1.0, 2.5, 7.0, 10.0], size=4, replace=False)
-        xs = rng.choice(grid, size=int(rng.integers(1, 30)))
-        eq = EmpiricalQuantile.from_samples(xs, h_max=10.0)
-        for _ in range(4):
-            pool = grid if rng.random() < 0.5 else np.round(rng.uniform(0, 10, size=6), 1)
-            batch = rng.choice(pool, size=int(rng.integers(1, 8)))
-            merged = eq.merged(batch)
-            xs = np.concatenate((xs, batch))
-            _same_quantile(merged, EmpiricalQuantile.from_samples(xs, h_max=10.0))
-            eq = merged
-
-
-def test_merged_checks_bids_as_from_samples_does():
-    eq = EmpiricalQuantile.from_samples([1.0, 2.0, 2.0], h_max=5.0)
+def test_from_samples_checks_bids():
     for bad in ([], [[1.0, 2.0]], [6.0], [-0.5], [1.0, float("nan")], [float("inf")]):
         with pytest.raises(ValueError):
             EmpiricalQuantile.from_samples(bad, h_max=5.0)
-        with pytest.raises(ValueError):
-            eq.merged(bad)
-    # a refused batch leaves the quantile as it was
+    eq = EmpiricalQuantile.from_samples([1.0, 2.0, 2.0], h_max=5.0)
     assert (eq.values.tolist(), eq.counts.tolist(), eq.m) == ([1.0, 2.0], [1, 2], 3)
     with pytest.raises(ValueError):
         eq.values[0] = 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from myerson_lab.distributions import sample
 from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs, r_min_curve
 from myerson_lab.learner import (
     IroningPlan,
+    _count_plans,
     compute_auction,
     loss_bound,
     optimal_induced,
@@ -156,3 +158,61 @@ def test_loss_bound_values():
 def test_compute_auction_total_function(xs, delta):
     plan = compute_auction(xs, delta, h_max=6.0)
     assert isinstance(plan, IroningPlan)
+
+
+def _count_vectors(s: int, m: int) -> np.ndarray:
+    """Every vector of s nonnegative counts summing to m, as rows."""
+    heads = [c for c in itertools.product(range(m + 1), repeat=s - 1) if sum(c) <= m]
+    return np.array([(*c, m - sum(c)) for c in heads])
+
+
+def _learns_as_compute_auction(values, counts, deltas, h_max: float) -> list:
+    """Plans of the count rows in one call, each checked ``==`` to
+    ``compute_auction`` on the row's samples; the radii used."""
+    values = np.asarray(values, dtype=float)
+    epsilons = [dkw_epsilon(int(c.sum()), d) for c, d in zip(counts, deltas)]
+    plans = _count_plans(values, counts, np.array(epsilons), h_max)
+    assert len(plans) == len(counts)
+    for row, delta, plan in zip(counts, deltas, plans):
+        assert plan == compute_auction(values.repeat(row), delta, h_max), (row.tolist(), delta)
+    return epsilons
+
+
+@pytest.mark.parametrize(
+    "support, m, rows", [((1, 4, 10), 60, 1891), ((1, 2, 3, 7), 20, 1771)], ids=["1-4-10-m60", "1-2-3-7-m20"]
+)
+def test_every_count_vector_learns_what_compute_auction_learns(support, m, rows):
+    counts = _count_vectors(len(support), m)
+    assert len(counts) == rows
+    # radii differ from row to row, so rows of one nonempty-run pattern mix radii
+    deltas = np.array([0.01, 0.1, 0.5])[np.arange(rows) % 3]
+    _learns_as_compute_auction(support, counts, deltas, 10.0)
+
+
+def test_count_rows_of_random_laws_learn_what_compute_auction_learns():
+    # atoms at 0, zero-count atoms, a radius per row, rows with radius >= 1,
+    # and one law of 200 atoms in [9, 10), whose rows keep more than 64
+    # grid points up to q* and so pass the hull's pruning passes
+    rng = np.random.default_rng(36)
+    seen = {"zero atom": 0, "zero count": 0, "no confidence": 0}
+    for law in range(300):
+        s = 200 if law == 0 else int(rng.integers(1, 7))
+        grid = np.arange(9.0, 10.0, 0.004) if law == 0 else np.arange(0.0, 10.0625, 0.125)
+        values = np.sort(rng.choice(grid, size=s, replace=False))
+        if rng.random() < 0.3:
+            values[0] = 0.0
+        r = int(rng.integers(1, 30))
+        counts = rng.integers(0, 40 if law == 0 else 5, size=(r, s)) * (rng.random((r, s)) < 0.7)
+        counts[counts.sum(axis=1) == 0, -1] = 1
+        epsilons = _learns_as_compute_auction(values, counts, rng.uniform(0.01, 0.9, r), 10.0)
+        seen["zero atom"] += values[0] == 0.0
+        seen["zero count"] += int((counts == 0).sum())
+        seen["no confidence"] += sum(e >= 1.0 for e in epsilons)
+    assert min(seen.values()) > 0, seen
+
+
+def test_count_rows_without_confidence_learn_the_empty_plan():
+    epsilons = np.array([1.0, 4.5, dkw_epsilon(3, 0.5)])
+    plans = _count_plans(np.array([0.0, 2.0, 5.0]), np.array([[0, 3, 1], [2, 0, 0], [1, 1, 1]]), epsilons, 5.0)
+    assert plans[:2] == [IroningPlan.empty()] * 2
+    assert plans[2] == compute_auction([0.0, 2.0, 5.0], 0.5, 5.0) != IroningPlan.empty()

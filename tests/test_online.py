@@ -6,20 +6,27 @@ import pytest
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import dkw_epsilon
 from myerson_lab.environments import Environment
+from myerson_lab import online
 from myerson_lab.online import regret_bound, run_no_regret
 from reference import run_no_regret_concatenating
 
 LAW8 = ValueDistribution.discrete(
     [(1, 0.30), (2, 0.20), (3, 0.12), (4, 0.08), (6, 0.05), (8, 0.10), (9, 0.10), (10, 0.05)], h_max=10.0
 )
+TWO_ATOM = ValueDistribution.discrete([(1, 0.9), (10, 0.1)], h_max=10.0)
+# name -> (law, environment, T); the last case's T spans more than one learner block
 INCREMENTAL_CASES = {
-    "two-atom-single3": (ValueDistribution.discrete([(1, 0.9), (10, 0.1)], h_max=10.0), Environment.single_item(3)),
-    "law8-position6": (LAW8, Environment.position([1, 0.6, 0.3], 6)),
+    "two-atom-single3": (TWO_ATOM, Environment.single_item(3), 120),
+    "law8-position6": (LAW8, Environment.position([1, 0.6, 0.3], 6), 120),
     "zero-mass-atom-kunit": (
         ValueDistribution.discrete([(0, 0.2), (2, 0.0), (3, 0.5), (7, 0.3)], h_max=8.0),
         Environment.k_unit(2, 4),
+        120,
     ),
-    "law8-partition": (LAW8, Environment.partition_matroid([0, 0, 1, 1, 1], [1, 2])),
+    "law8-partition": (LAW8, Environment.partition_matroid([0, 0, 1, 1, 1], [1, 2]), 120),
+    "two-atom-single3-T1": (TWO_ATOM, Environment.single_item(3), 1),
+    "two-atom-single3-T2": (TWO_ATOM, Environment.single_item(3), 2),
+    "law8-single2-blocks": (LAW8, Environment.single_item(2), 1300),
 }
 
 
@@ -143,8 +150,13 @@ def test_rejects_bad_inputs(bimodal_small):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("case", sorted(INCREMENTAL_CASES))
 def test_merging_bids_gives_the_trace_of_relearning_from_all_bids(case, seed):
-    dist, env = INCREMENTAL_CASES[case]
-    trace = run_no_regret(dist, env, T=120, delta=0.1, seed=seed)
-    assert trace == run_no_regret_concatenating(dist, env, T=120, delta=0.1, seed=seed)
+    dist, env, T = INCREMENTAL_CASES[case]
+    trace = run_no_regret(dist, env, T=T, delta=0.1, seed=seed)
+    assert trace == run_no_regret_concatenating(dist, env, T=T, delta=0.1, seed=seed)
     # the learner replaces the empty plan of round 0, so the comparison reaches it
     assert len({row.plan_hash for row in trace.rows}) >= 2
+
+
+def test_a_trace_case_spans_learner_blocks():
+    dist, _, T = INCREMENTAL_CASES["law8-single2-blocks"]
+    assert T > 2 * (online._BLOCK_CELLS // len(dist.atoms))
