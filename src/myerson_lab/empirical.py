@@ -67,10 +67,18 @@ def dkw_epsilon(m: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
 
 
-def _order_stats_above(eq: EmpiricalQuantile) -> np.ndarray:
-    """Order statistics at or above each distinct value, highest value
-    first, then 0: the estimator's block boundaries in index space."""
-    return np.concatenate((np.cumsum(eq.counts)[::-1], [0]))
+def _min_edges(counts: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Run edges of the pessimistic curves of rows of ``counts``, the
+    samples at each of some ascending values, each at its radius in
+    ``eps``: (1 - eps) minus the share of samples at or below each value,
+    highest value first and clamped at 0, then 1 - eps and 1.  The runs
+    between them are priced at the values, highest first, and then at 0."""
+    r, s = counts.shape
+    edges = np.ones((r, s + 2))
+    at_or_below = counts.cumsum(axis=1)[:, ::-1] / counts.sum(axis=1, keepdims=True)
+    np.maximum((1.0 - eps)[:, None] - at_or_below, 0.0, out=edges[:, :s])
+    np.maximum(1.0 - eps, 0.0, out=edges[:, s])
+    return edges
 
 
 def min_price_runs(eq: EmpiricalQuantile, epsilon: float) -> PriceRuns:
@@ -78,15 +86,13 @@ def min_price_runs(eq: EmpiricalQuantile, epsilon: float) -> PriceRuns:
 
     The i-th order statistic prices quantiles in
     [1 - eps - i/m, 1 - eps - (i-1)/m); the estimate clamps to 0 once
-    1 - q - eps goes negative.
+    1 - q - eps goes negative, on a run from 1 - eps to 1 that is empty
+    at eps = 0.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    edges = np.maximum((1.0 - epsilon) - _order_stats_above(eq) / eq.m, 0.0)
-    prices = eq.values[::-1]
-    if 1.0 - epsilon < 1.0:
-        edges, prices = np.concatenate((edges, [1.0])), np.concatenate((prices, [0.0]))
-    return PriceRuns.nonempty(edges, prices)
+    edges = _min_edges(eq.counts[None], np.array([epsilon]))[0]
+    return PriceRuns.nonempty(edges, np.concatenate((eq.values[::-1], [0.0])))
 
 
 def max_price_runs(eq: EmpiricalQuantile, epsilon: float) -> PriceRuns:
@@ -99,8 +105,9 @@ def max_price_runs(eq: EmpiricalQuantile, epsilon: float) -> PriceRuns:
         raise ValueError("epsilon must lie in [0, 1)")
     m = eq.m
     c = epsilon + 1.0 / m
+    above = np.concatenate(([0], eq.counts[::-1].cumsum()))  # samples above each value, highest first, then m
     # written as c + k/m so the block boundaries share exact floats
-    edges = np.concatenate(([0.0], np.minimum(c + (m - _order_stats_above(eq)) / m, 1.0)))
+    edges = np.concatenate(([0.0], np.minimum(c + above / m, 1.0)))
     return PriceRuns.nonempty(edges, np.concatenate(([eq.h_max], eq.values[::-1])))
 
 

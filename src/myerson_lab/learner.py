@@ -26,7 +26,7 @@ from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _hull_indices, _
 # unused here but bound: perfbench's traced pass patches these names
 from .curves import argmax_quantile, concave_envelope, difference_intervals, price_left_of_runs  # noqa: F401
 from .empirical import min_price_runs  # noqa: F401
-from .empirical import EmpiricalQuantile, dkw_epsilon
+from .empirical import EmpiricalQuantile, _min_edges, dkw_epsilon
 from .environments import _json_list, _json_number, _json_object
 
 __all__ = [
@@ -188,14 +188,8 @@ def _count_grids(values: np.ndarray, counts: np.ndarray, eps: np.ndarray) -> lis
     each value it lacks and a price-0 run from 1 - epsilon to 1, which is
     all that a radius of 1 or more leaves.
     """
-    r, s = counts.shape
-    # run edges (1 - eps) - (order statistics at or above each value) / m,
-    # highest value first and clamped at 0, then 1 - eps and 1
-    edges = np.ones((r, s + 2))
-    above = counts.cumsum(axis=1)[:, ::-1] / counts.sum(axis=1, keepdims=True)
-    np.maximum((1.0 - eps)[:, None] - above, 0.0, out=edges[:, :s])
-    np.maximum(1.0 - eps, 0.0, out=edges[:, s])
-    del above  # one array of runs fewer alive while the grids are built
+    r = len(counts)
+    edges = _min_edges(counts, eps)
     prices = np.concatenate((values[::-1], [0.0]))
     nonempty = edges[:, 1:] > edges[:, :-1]
     groups = [np.zeros(1, dtype=np.intp)]
@@ -228,23 +222,17 @@ def optimal_induced(runs: PriceRuns, h_max: float) -> PiecewiseLinearCurve:
 
 
 def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
-    """Learn ironing intervals and a reserve price from samples.
+    """Learn ironing intervals and a reserve price from an array of
+    samples, each in [0, h_max].
 
     Builds the pessimistic revenue curve from the deviation-shifted
     empirical quantile function and irons where it fails to be concave.
-    ``samples`` is an array of values or an ``EmpiricalQuantile`` with
-    bound ``h_max`` already built from them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not math.isfinite(h_max):
         raise ValueError(f"h_max must be finite, got {h_max}")
-    if isinstance(samples, EmpiricalQuantile):
-        if samples.h_max != h_max:
-            raise ValueError(f"quantile bound {samples.h_max} is not h_max {h_max}")
-        eq = samples
-    else:
-        eq = EmpiricalQuantile.from_samples(samples, h_max)
+    eq = EmpiricalQuantile.from_samples(samples, h_max)
     return _count_plans(eq.values, eq.counts[None], np.array([dkw_epsilon(eq.m, delta)]), h_max)[0]
 
 

@@ -19,7 +19,6 @@ curve of the law's own price runs, caps every auction's revenue, and
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from bisect import bisect_left
@@ -139,7 +138,7 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
                 continue  # the rejected atoms have no mass for n - j bids
             for high, coeff, factors in _splits(pows, range(first, s), j, math.comb(n, j)):
                 accepted = [vals[a] for a, c in high for _ in range(c)]  # ascending, one bid per count
-                total = math.fsum(_block_payments(slots, plan, accepted))
+                total = math.fsum(_block_payments(slots, plan, accepted)[1])
                 for low_coeff, prod in lows:  # a weight that underflows to 0 adds a 0 term, which fsum ignores
                     terms.append(coeff * low_coeff * math.prod(factors, start=prod) * total)
         totals.append(math.fsum(terms))
@@ -230,7 +229,7 @@ def expected_revenue_mc(
         rows = draws[:, members]
         rows.sort(kind="stable")  # lexsort's merge sort: no second sort routine to load
         ids[:, b], firsts = _row_groups(rows)
-        payments.append([_block_payments(slots, plan, [x for x in rows[d].tolist() if x >= 0.0]) for d in firsts])
+        payments.append([_block_payments(slots, plan, [x for x in rows[d].tolist() if x >= 0.0])[1] for d in firsts])
     del draws, rows
     profiles, firsts = _row_groups(ids)
     priced = [math.fsum(p for pays, g in zip(payments, ids[d].tolist()) for p in pays[g]) for d in firsts]
@@ -255,11 +254,12 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     values in sorted order, the r-th highest weighted by the r-th slot.
     The slopes fall as the quantile grows, so the r-th highest value is
     at least a run's slope exactly when r or more members draw quantiles
-    at most the run's end.  Summed over the slots, that is the chance
+    at most the run's end q.  Summed over the slots, that is the chance
     that exactly c members do, times the weight w_1 + ... + w_c of the
-    first c slots, over c: one binomial row per block and level.  A block
-    of 1030 or more members, whose binomial row overflows a float, is
-    refused.
+    first c slots, over c: sum_c C(n, c) q^c (1-q)^(n-c) (w_1 + ... + w_c),
+    which is n Y(q), the integral of the interim allocation that
+    quadrature reads off the same ``_bernstein`` rows.  A block of 1030 or
+    more members, whose binomial row overflows a float, is refused.
     """
     _require_discrete(dist, "virtual_welfare_bound")
     # refuse huge n before building blocks, as quadrature does
@@ -268,19 +268,16 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     for members, _ in env.blocks:
         _refuse_float_overflow(len(members), 2)
     hull = concave_envelope(curve_from_price_runs(dist.price_runs))
-    edges = dist.price_runs.edges.tolist()
-    levels = [
-        (q1, max(0.0, (hull.evaluate(q1) - hull.evaluate(q0)) / (q1 - q0)))
-        for q0, q1 in zip(edges, edges[1:])
-        if q1 > q0
-    ]
+    edges = dist.price_runs.edges
+    rising = edges[1:] > edges[:-1]
+    levels = edges[1:][rising]  # each nonempty run's end
+    heights = hull.evaluate(edges)
+    phi = np.maximum((heights[1:][rising] - heights[:-1][rising]) / (levels - edges[:-1][rising]), 0.0)
+    drops = phi - np.append(phi[1:], 0.0)
     terms = []
     for members, slots in env.blocks:
-        n = len(members)
-        filled = [0.0, *itertools.accumulate(slots)]  # filled[c]: weight of the first c slots
-        for (q, phi), (_, phi_next) in zip(levels, levels[1:] + [(1.0, 0.0)]):
-            served = math.fsum(math.comb(n, c) * q**c * (1.0 - q) ** (n - c) * filled[c] for c in range(1, n + 1))
-            terms.append((phi - phi_next) * served)
+        served = _bernstein(levels, len(members)) @ np.concatenate(([0.0], np.cumsum(slots)))
+        terms += (drops * served).tolist()
     return math.fsum(terms)
 
 

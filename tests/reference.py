@@ -4,9 +4,11 @@ They are plain, slow, scalar restatements of what the package computes
 with arrays, plus a discrete law's CDF and generalized inverse, a
 matroid's independence oracle read from its JSON and greedy selection
 with it, the brute force that ``Environment.blocks`` is checked against,
-the rank key by a scan of every interval, the threshold payment that
-re-runs ``allocate`` on every piece of the bid line (on the bidder's
-block alone, or split at every key of the profile), enumeration and
+the rank key by a scan of every interval, the rank-block allocation rule
+(slots go down each block's tie groups of equal keys, a group sharing
+its slots equally) restated bidder by bidder, the threshold payment that
+re-runs that rule on every piece of the bid line (on the bidder's block
+alone, or split at every key of the profile), enumeration and
 Monte Carlo revenue that price every multiset and every draw, and the
 k-unit interim allocation with its integral and derivative, the k-by-k
 form of the Bernstein mixture that revenue quadrature evaluates per
@@ -28,7 +30,7 @@ import numpy as np
 from myerson_lab.curves import PiecewiseLinearCurve, PriceRuns
 from myerson_lab.distributions import sample
 from myerson_lab.empirical import dkw_epsilon
-from myerson_lab.engine import allocate, interim_payments, ironed_key
+from myerson_lab.engine import interim_payments, ironed_key
 from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.online import RegretTrace, RoundRecord
@@ -380,6 +382,28 @@ def ironed_key_scan(bid: float, plan: IroningPlan) -> float | None:
     return bid
 
 
+def tie_group_allocation(env, plan: IroningPlan, bids) -> list[float]:
+    """Per-bidder expected allocation: in each block, the accepted
+    members are grouped by equal key, highest key first, and a group of
+    t members takes the next t slots, sharing their weight equally.  This
+    is the rule ``allocate`` must match to the bit."""
+    keys = [ironed_key_scan(b, plan) for b in bids]
+    alloc = [0.0] * env.n
+    for members, slots in env.blocks:
+        by_key: dict[float, list[int]] = {}
+        for i in members:
+            if keys[i] is not None:
+                by_key.setdefault(keys[i], []).append(i)
+        pos = 0
+        for k in sorted(by_key, reverse=True):
+            group = by_key[k]
+            share = sum(slots[pos : pos + len(group)]) / len(group)
+            for i in group:
+                alloc[i] = share
+            pos += len(group)
+    return alloc
+
+
 def myerson_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
     """Threshold-integral payment for one bidder, computed exactly on its
     rank block alone.
@@ -400,13 +424,13 @@ def whole_profile_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
     p = b * x(b) - integral of x(z) dz over [0, b], where x(z) is the
     bidder's allocation when bidding z against the fixed others; x is
     piecewise constant, so each piece is evaluated at its midpoint by
-    calling ``allocate``.  On a one-block environment this is the
+    re-running ``tie_group_allocation``.  On a one-block environment this is the
     block's payment.  On a partition matroid it also splits at other
     blocks' keys, which moves no allocation but can round the integral
     differently: the engine priced every profile this way before it
     priced each block on its own keys.
     """
-    alloc_at_bid = allocate(env, plan, bids)[bidder]
+    alloc_at_bid = tie_group_allocation(env, plan, bids)[bidder]
     if alloc_at_bid == 0.0:
         return 0.0
     b_i = bids[bidder]
@@ -420,7 +444,7 @@ def whole_profile_payment(env, plan: IroningPlan, bids, bidder: int) -> float:
     integral = 0.0
     for z0, z1 in zip(pts, pts[1:]):
         probe[bidder] = 0.5 * (z0 + z1)
-        integral += allocate(env, plan, probe)[bidder] * (z1 - z0)
+        integral += tie_group_allocation(env, plan, probe)[bidder] * (z1 - z0)
     return b_i * alloc_at_bid - integral
 
 

@@ -8,7 +8,13 @@ from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan
 
 from conftest import random_aligned_plan, random_discrete, random_slot_env
-from reference import ironed_key_scan, myerson_payment, total_interim_payment, whole_profile_payment
+from reference import (
+    ironed_key_scan,
+    myerson_payment,
+    tie_group_allocation,
+    total_interim_payment,
+    whole_profile_payment,
+)
 
 EX2_PLAN = IroningPlan(intervals=((1.0, 5.0),), reserve=1.0)
 SINGLE10 = Environment.single_item(10)
@@ -61,8 +67,12 @@ def test_allocate_position_tied_pair():
 
 
 def test_allocate_rejects_wrong_bid_count():
-    with pytest.raises(ValueError):
-        allocate(SINGLE10, EX2_PLAN, [1.0] * 3)
+    # allocation, payments and a run share one per-profile pass, which
+    # refuses too few and too many bids alike
+    for call in (allocate, interim_payments, lambda env, plan, bids: run_auction(env, plan, bids, 0)):
+        for bids in ([1.0] * 3, [1.0] * 11):
+            with pytest.raises(ValueError, match="expected 10 bids"):
+                call(SINGLE10, EX2_PLAN, bids)
 
 
 def test_payment_example2_lone_high_bidder():
@@ -291,10 +301,34 @@ def _corpus_env(rng, case: int) -> Environment:
     return Environment.partition_matroid([int(rng.integers(0, parts)) for _ in range(n)], caps)
 
 
+def test_allocate_equals_the_tie_group_reference_exactly():
+    # the block walk's shares must be the reference rule's to the bit in
+    # all five kinds of environment (zero-weight slots included), with
+    # exact ties, distinct bids in one ironing interval and rejected bids
+    rng = np.random.default_rng(43)
+    grid = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.5]
+    seen = {"tie": 0, "ironed": 0, "rejected": 0}
+    for case in range(2500):
+        env = _corpus_env(rng, case)
+        plan = _constructor_plan(rng, grid)
+        ends = [e for iv in plan.intervals for e in iv]
+        inside = [lo + u * (hi - lo) for lo, hi in plan.intervals for u in (0.25, 0.5)]
+        special = [0.0, 0.5 * plan.reserve, plan.reserve, *ends, *inside, *grid, float(rng.uniform(0.0, 8.0))]
+        bids = [float(rng.choice(special)) for _ in range(env.n)]
+        want = tie_group_allocation(env, plan, bids)
+        assert allocate(env, plan, bids) == want, (env, plan, bids)
+        assert run_auction(env, plan, bids, case).interim_alloc == tuple(want)
+        keys = [ironed_key(b, plan) for b in bids if b >= plan.reserve]
+        seen["tie"] += len(set(keys)) < len(keys)
+        seen["ironed"] += len({b for b in bids if b >= plan.reserve}) > len(set(keys))
+        seen["rejected"] += len(keys) < len(bids)
+    assert min(seen.values()) >= 100, seen
+
+
 def test_interim_payments_equal_reference_on_corpus():
     # interim_payments reads every piece off the block's sorted keys,
-    # myerson_payment re-runs allocate on it; both do the same float
-    # arithmetic, so they must agree to the bit
+    # myerson_payment re-runs the reference rule on it; both do the same
+    # float arithmetic, so they must agree to the bit
     rng = np.random.default_rng(23)
     grid = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.5]
     for case in range(2500):
