@@ -14,6 +14,7 @@ violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .empirical import dkw_epsilon
 from .engine import run_auction
 from .environments import Environment
 from .learner import IroningPlan, compute_auction, loss_bound, required_samples_iid
-from .online import TRACE_FIELDS, run_no_regret
+from .online import TRACE_FIELDS, _fmt, run_no_regret
 from .oracle import (
     GuardError,
     additive_loss,
@@ -40,10 +41,6 @@ from .oracle import (
 LOSS_HEADER = "m,trial,epsilon,loss,bound,within_bound"
 REGRET_HEADER = "seed," + ",".join(TRACE_FIELDS)
 EXAMPLES_IRONING_HEADER = "n,h,revenue_ironed,revenue_second_price"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _workers() -> int:
@@ -99,17 +96,7 @@ def _cmd_run(args) -> int:
     env = _read_env(args.env)
     plan = _read_plan(args.plan)
     bids = [float(x) for x in Path(args.bids).read_text().replace(",", "\n").split()]
-    out = run_auction(env, plan, bids, args.seed)
-    print(
-        json.dumps(
-            {
-                "interim_alloc": list(out.interim_alloc),
-                "interim_payment": list(out.interim_payment),
-                "realized_alloc": list(out.realized_alloc),
-                "realized_payment": list(out.realized_payment),
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(run_auction(env, plan, bids, args.seed))))
     return 0
 
 
@@ -132,16 +119,7 @@ def _cmd_eval(args) -> int:
         rep = expected_revenue_quadrature(dist, env, plan)
     else:
         rep = expected_revenue_mc(dist, env, plan, args.trials, args.seed)
-    print(
-        json.dumps(
-            {
-                "expected_revenue": rep.expected_revenue,
-                "method": rep.method,
-                "stderr": rep.stderr,
-                "trials": rep.trials,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(rep)))
     return 0
 
 
@@ -151,7 +129,7 @@ def _loss_trial(payload):
     plan = compute_auction(xs, delta, dist.h_max)
     eps = dkw_epsilon(m, delta)
     loss = additive_loss(dist, env, plan)
-    bound = 3.0 * eps * env.n * dist.h_max
+    bound = loss_bound(m, delta, env.n, dist.h_max)
     return m, trial, eps, loss, bound, loss <= bound
 
 
@@ -166,13 +144,13 @@ def experiment_loss(dist, env, m_list, trials, delta, seed, out_path) -> list[st
     lines = [LOSS_HEADER]
     by_m: dict[int, list] = {}
     for m, trial, eps, loss, bound, ok in rows:
-        lines.append(f"{m},{trial},{_fmt(eps)},{_fmt(loss)},{_fmt(bound)},{int(ok)}")
+        lines.append(",".join(map(_fmt, (m, trial, eps, loss, bound, int(ok)))))
         by_m.setdefault(m, []).append((eps, loss, bound, ok))
     for m in m_list:
         recs = by_m[m]
         frac = sum(1 for *_, ok in recs if ok) / len(recs)
         med = float(np.median([loss for _, loss, _, _ in recs]))
-        lines.append(f"{m},-1,{_fmt(recs[0][0])},{_fmt(med)},{_fmt(recs[0][2])},{_fmt(frac)}")
+        lines.append(",".join(map(_fmt, (m, -1, recs[0][0], med, recs[0][2], frac))))
     text = "\n".join(lines) + "\n"
     if out_path:
         Path(out_path).write_text(text)
@@ -256,7 +234,7 @@ def _cmd_experiment_examples(args) -> int:
     report = experiment_examples(args.out)
     print(EXAMPLES_IRONING_HEADER)
     for row in report["ironing_value"]:
-        print(f"{row['n']},{_fmt(row['h'])},{_fmt(row['revenue_ironed'])},{_fmt(row['revenue_second_price'])}")
+        print(",".join(_fmt(row[key]) for key in EXAMPLES_IRONING_HEADER.split(",")))
     o = report["over_ironing"]
     print(
         f"over-ironing: {_fmt(o['revenue_over_ironed'])} vs second price "

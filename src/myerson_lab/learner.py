@@ -236,6 +236,16 @@ def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
     return _count_plans(eq.values, eq.counts[None], np.array([dkw_epsilon(eq.m, delta)]), h_max)[0]
 
 
+def _check_n_h(n: int, h_max: float) -> None:
+    """Refuse fewer than one bidder, and a value bound that is not finite and nonnegative."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not math.isfinite(h_max):
+        raise ValueError(f"h_max must be finite, got {h_max}")
+    if h_max < 0.0:
+        raise ValueError(f"h_max must be >= 0, got {h_max}")
+
+
 def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, h_max: float) -> int:
     """Samples needed for a (1 - eps_target) multiplicative guarantee.
 
@@ -244,26 +254,17 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
     """
     if not 0.0 < delta < eps_target < 1.0:
         raise ValueError("need 0 < delta < eps_target < 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n_h(n, h_max)
     if gamma < 1.0:
         raise ValueError("gamma must be >= 1")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if not math.isfinite(h_max):
-        raise ValueError(f"h_max must be finite, got {h_max}")
-    if h_max < 0.0:
-        raise ValueError(f"h_max must be >= 0, got {h_max}")
     raw = (math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2
     return math.ceil(raw)
 
 
 def loss_bound(m: int, delta: float, n: int, h_max: float) -> float:
-    """High-probability additive revenue-loss bound 3 * n * H * epsilon."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not math.isfinite(h_max):
-        raise ValueError(f"h_max must be finite, got {h_max}")
-    if h_max < 0.0:
-        raise ValueError(f"h_max must be >= 0, got {h_max}")
-    return 3.0 * n * h_max * dkw_epsilon(m, delta)
+    """High-probability additive revenue-loss bound 3 * epsilon * n * H for
+    m samples: the one place it is computed, in this float order."""
+    _check_n_h(n, h_max)
+    return 3.0 * dkw_epsilon(m, delta) * n * h_max

@@ -9,13 +9,16 @@ takes a block of rounds' count vectors in one call, building each
 distinct plan once.  Each round is charged the expected loss of the
 deployed plan against the optimal plan (not the noisy realized revenue
 of its bids).  Both revenues come from the quadrature oracle's cache,
-once per process.
+once per process.  Each round's ``bound_t`` is ``loss_bound`` of the
+n*t bids it learned from at confidence delta/T, so it is 3 * epsilon_t
+* n * H of its own row to the bit; round 0's is n * H.  A trace's CSV
+columns are ``RoundRecord``'s fields, each cell formatted by ``_fmt``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .distributions import ValueDistribution, sample
 from .engine import run_auction  # noqa: F401
 from .environments import Environment
 from .learner import compute_auction  # noqa: F401
-from .learner import IroningPlan, _count_plans
+from .learner import IroningPlan, _check_n_h, _count_plans, loss_bound
 from .empirical import dkw_epsilon
 # expected_revenue_enum is unused here but stays bound: perfbench's traced pass patches it by name
 from .oracle import expected_revenue_enum, expected_revenue_quadrature, optimal_plan  # noqa: F401
@@ -33,17 +36,6 @@ from .oracle import expected_revenue_enum, expected_revenue_quadrature, optimal_
 __all__ = ["RoundRecord", "RegretTrace", "run_no_regret", "regret_bound"]
 
 _BLOCK_CELLS = 1024  # count cells (rounds x atoms) the learner takes in one call
-
-TRACE_FIELDS = (
-    "t",
-    "m_t",
-    "epsilon_t",
-    "plan_hash",
-    "expected_round_revenue",
-    "round_loss",
-    "cumulative_loss",
-    "bound_t",
-)
 
 
 @dataclass(frozen=True)
@@ -65,6 +57,14 @@ class RoundRecord:
     bound_t: float
 
 
+TRACE_FIELDS = tuple(f.name for f in fields(RoundRecord))
+
+
+def _fmt(x) -> str:
+    """One CSV cell: a float to 17 significant digits, which round-trips it."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
 @dataclass(frozen=True)
 class RegretTrace:
     rows: tuple[RoundRecord, ...]
@@ -78,15 +78,7 @@ class RegretTrace:
         if seed is not None:
             header = "seed," + header
             prefix = f"{seed},"
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                prefix
-                + f"{r.t},{r.m_t},{r.epsilon_t:.17g},{r.plan_hash},"
-                + f"{r.expected_round_revenue:.17g},{r.round_loss:.17g},"
-                + f"{r.cumulative_loss:.17g},{r.bound_t:.17g}"
-            )
-        return lines
+        return [header] + [prefix + ",".join(_fmt(getattr(r, f)) for f in TRACE_FIELDS) for r in self.rows]
 
 
 def run_no_regret(
@@ -149,7 +141,7 @@ def run_no_regret(
         seen = counts[-1]
         epsilons = [dkw_epsilon(n * t, delta / T) for t in ts]
         for t, eps_t, plan in zip(ts, epsilons, _count_plans(support, counts, np.array(epsilons), h)):
-            record(t, eps_t, plan, 3.0 * math.sqrt(math.log(2.0 * T / delta) / (2.0 * n * t)) * n * h)
+            record(t, eps_t, plan, loss_bound(n * t, delta / T, n, h))
     return RegretTrace(rows=tuple(rows))
 
 
@@ -159,4 +151,5 @@ def regret_bound(T: int, delta: float, n: int, h_max: float, gamma: float = 1.0)
         raise ValueError("T must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    _check_n_h(n, h_max)
     return (n * h_max) * (1.0 + 3.0 * gamma * math.sqrt(2.0 * T * math.log(4.0 * T / delta) / n))

@@ -14,7 +14,10 @@ independent check it must agree with to float precision.  Both are
 cached per (law, environment, plan); Monte Carlo draws on every call.
 The discrete virtual-welfare bound, read from the concave hull of the
 curve of the law's own price runs, caps every auction's revenue, and
-``optimal_plan``'s plan must meet it.
+``optimal_plan``'s plan must meet it.  Enumeration, quadrature and the
+bound share one prologue of refusals, ``_refuse_exact``, so each refuses
+a law that is not discrete, too many bidders and a block beyond the
+float range with the same checks in the same order.
 """
 
 from __future__ import annotations
@@ -74,18 +77,33 @@ def optimal_plan(dist: ValueDistribution) -> IroningPlan:
     return plan_from_price_runs(dist.price_runs, dist.h_max)
 
 
-def _refuse_float_overflow(n: int, parts: int) -> None:
-    """Refuse a block of n members whose largest coefficient n! / prod(c!),
-    over counts c splitting n into ``parts``, does not fit a float.
+def _refuse_exact(dist: ValueDistribution, env: Environment, what: str, guard: str) -> None:
+    """The exact oracles' refusals, in this order: a law that is not
+    discrete; more than 1e7 bidders, before any block is built; for
+    enumeration (``guard`` "enumeration"), more than 1e7 bid prices, n_b
+    per multiset of each block's n_b members over the s atoms; and a
+    block whose largest coefficient n_b! / prod(c!), over counts c
+    splitting n_b into s parts for enumeration and 2 for the binomial rows
+    of the others, does not fit a float.
 
     The largest coefficient is at the most even split.  lgamma is off by
     about 1e-13 here, far inside the smallest margin that can occur: a
-    binomial row crosses the float range between n = 1029 (0.23 below it
-    in log) and n = 1030 (0.46 above)."""
-    q, r = divmod(n, parts)
-    log_coeff = math.lgamma(n + 1) - r * math.lgamma(q + 2) - (parts - r) * math.lgamma(q + 1)
-    if log_coeff > _LOG_FLOAT_MAX:
-        raise GuardError(f"a block of {n} bidders has coefficients beyond the float range")
+    binomial row crosses the float range between n_b = 1029 (0.23 below
+    it in log) and n_b = 1030 (0.46 above)."""
+    _require_discrete(dist, what)
+    if env.n > _ENUM_GUARD:
+        raise GuardError(f"{env.n} bidders exceed the {guard} guard")
+    sizes = [len(members) for members, _ in env.blocks]
+    parts = 2
+    if guard == "enumeration":
+        parts = len(dist.atoms)
+        visits = sum(n * math.comb(parts + n - 1, n) for n in sizes)
+        if visits > _ENUM_GUARD:
+            raise GuardError(f"{visits} bid prices exceed the enumeration guard")
+    for n in sizes:
+        q, r = divmod(n, parts)
+        if math.lgamma(n + 1) - r * math.lgamma(q + 2) - (parts - r) * math.lgamma(q + 1) > _LOG_FLOAT_MAX:
+            raise GuardError(f"a block of {n} bidders has coefficients beyond the float range")
 
 
 def _splits(pows: list, atoms: range, total: int, coeff: int = 1):
@@ -111,18 +129,10 @@ def expected_revenue_enum(dist: ValueDistribution, env: Environment, plan: Ironi
     is enumerated alone, as the position auction of its slots, over the
     C(s+n_b-1, n_b) multisets of its n_b members; the guard counts n_b
     bids per multiset over all blocks, and a block whose multinomial
-    weights overflow a float is refused.  Multisets that differ only
-    below the reserve share one priced total."""
-    _require_discrete(dist, "expected_revenue_enum")
-    # every bidder is priced at least once: refuse huge n before building blocks
-    if env.n > _ENUM_GUARD:
-        raise GuardError(f"{env.n} bidders exceed the enumeration guard")
+    weights overflow a float is refused (see ``_refuse_exact``).
+    Multisets that differ only below the reserve share one priced total."""
+    _refuse_exact(dist, env, "expected_revenue_enum", "enumeration")
     s = len(dist.atoms)
-    visits = sum(len(members) * math.comb(s + len(members) - 1, len(members)) for members, _ in env.blocks)
-    if visits > _ENUM_GUARD:
-        raise GuardError(f"{visits} bid prices exceed the enumeration guard")
-    for members, _ in env.blocks:
-        _refuse_float_overflow(len(members), s)
     vals = [v for v, _ in dist.atoms]
     first = bisect_left(vals, plan.reserve)  # atoms from here up are accepted
     totals = []
@@ -172,12 +182,7 @@ def expected_revenue_quadrature(
     y and Y are evaluated once at all of R's vertices.  A block of 1030+
     members overflows a float and is refused; 4096 reports are cached.
     """
-    _require_discrete(dist, "expected_revenue_quadrature")
-    # refuse huge n before building blocks, as enumeration does
-    if env.n > _ENUM_GUARD:
-        raise GuardError(f"{env.n} bidders exceed the quadrature guard")
-    for members, _ in env.blocks:
-        _refuse_float_overflow(len(members), 2)
+    _refuse_exact(dist, env, "expected_revenue_quadrature", "quadrature")
     curve = induced_curve(dist.price_runs, plan)
     qs, vs = curve.qs, curve.values
     lo = np.flatnonzero(qs[1:] > qs[:-1])  # the nondegenerate pieces, from vertex lo to hi
@@ -261,12 +266,7 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     quadrature reads off the same ``_bernstein`` rows.  A block of 1030 or
     more members, whose binomial row overflows a float, is refused.
     """
-    _require_discrete(dist, "virtual_welfare_bound")
-    # refuse huge n before building blocks, as quadrature does
-    if env.n > _ENUM_GUARD:
-        raise GuardError(f"{env.n} bidders exceed the virtual-welfare guard")
-    for members, _ in env.blocks:
-        _refuse_float_overflow(len(members), 2)
+    _refuse_exact(dist, env, "virtual_welfare_bound", "virtual-welfare")
     hull = concave_envelope(curve_from_price_runs(dist.price_runs))
     edges = dist.price_runs.edges
     rising = edges[1:] > edges[:-1]
@@ -286,8 +286,8 @@ def additive_loss(dist: ValueDistribution, env: Environment, learned_plan: Ironi
 
     A sweep prices the optimum and each distinct learned plan once.  Tiny
     negatives from float noise clamp to zero; below -1e-9, an oracle bug raises.
+    ``optimal_plan`` refuses a law that is not discrete.
     """
-    _require_discrete(dist, "additive_loss")
     opt = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
     alg = expected_revenue_quadrature(dist, env, learned_plan).expected_revenue
     loss = opt - alg

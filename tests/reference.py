@@ -546,7 +546,7 @@ def run_no_regret_concatenating(dist, env, T: int, delta: float, seed):
     samples_so_far = np.asarray(sample(dist, n, bid_seeds[0]), dtype=float)
     for t in range(1, T + 1):
         plan = compute_auction(samples_so_far, delta / T, h)
-        bound_t = 3.0 * math.sqrt(math.log(2.0 * T / delta) / (2.0 * n * t)) * n * h
-        rows.append(record(t, n * t, dkw_epsilon(n * t, delta / T), plan, rows[-1].cumulative_loss, bound_t))
+        epsilon_t = dkw_epsilon(n * t, delta / T)
+        rows.append(record(t, n * t, epsilon_t, plan, rows[-1].cumulative_loss, 3.0 * epsilon_t * n * h))
         samples_so_far = np.concatenate([samples_so_far, sample(dist, n, bid_seeds[t])])
     return RegretTrace(rows=tuple(rows))

@@ -17,6 +17,7 @@ from myerson_lab.cli import (
 )
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.environments import Environment
+from myerson_lab.learner import loss_bound
 
 DIST_JSON = '{"type":"discrete","h_max":5,"atoms":[{"value":1,"prob":0.9},{"value":5,"prob":0.1}]}'
 ENV_JSON = '{"type":"single_item","n":3}'
@@ -333,6 +334,18 @@ def test_experiment_loss_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("MYERSON_LAB_THREADS", "3")
     parallel = experiment_loss(dist, env, [15], trials=6, delta=0.2, seed=1, out_path=None)
     assert serial == parallel
+
+
+def test_experiment_loss_bound_cells_are_loss_bound_and_calc_bound(monkeypatch, capsys):
+    monkeypatch.setenv("MYERSON_LAB_THREADS", "1")
+    dist = ValueDistribution.discrete([(1.0, 0.9), (10.0, 0.1)], h_max=10.0)
+    lines = experiment_loss(dist, Environment.single_item(3), [15, 100], trials=2, delta=0.1, seed=0, out_path=None)
+    for m in (15, 100):
+        assert main(["calc", "bound", "--m", str(m), "--delta", "0.1", "--n", "3", "--h-max", "10"]) == 0
+        printed = capsys.readouterr().out.strip()
+        cells = {line.split(",")[4] for line in lines[1:] if line.startswith(f"{m},")}
+        assert cells == {printed}
+        assert float(printed) == loss_bound(m, 0.1, 3, 10.0)
 
 
 def test_experiment_regret_schema(tmp_path, monkeypatch):

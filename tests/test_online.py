@@ -6,6 +6,7 @@ import pytest
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import dkw_epsilon
 from myerson_lab.environments import Environment
+from myerson_lab.learner import loss_bound
 from myerson_lab import online
 from myerson_lab.online import regret_bound, run_no_regret
 from reference import run_no_regret_concatenating
@@ -56,9 +57,10 @@ def test_round0_loss_bounded_by_nh(bimodal_small):
     assert trace.rows[0].bound_t == 3 * 5.0
 
 
-def test_trace_bookkeeping(bimodal_small):
+@pytest.mark.parametrize("T", [25, 11])
+def test_trace_bookkeeping(bimodal_small, T):
     env = Environment.single_item(3)
-    T, delta = 25, 0.1
+    delta = 0.1
     trace = run_no_regret(bimodal_small, env, T=T, delta=delta, seed=7)
     assert len(trace.rows) == T + 1
     prev = 0.0
@@ -69,8 +71,8 @@ def test_trace_bookkeeping(bimodal_small):
         prev = row.cumulative_loss
         if t >= 1:
             assert row.epsilon_t == dkw_epsilon(3 * t, delta / T)
-            want_bound = 3.0 * math.sqrt(math.log(2 * T / delta) / (2 * 3 * t)) * 3 * 5.0
-            assert row.bound_t == pytest.approx(want_bound, rel=1e-12)
+            # the one 3nH epsilon rule, to the bit, and of the row's own radius
+            assert row.bound_t == loss_bound(3 * t, delta / T, 3, 5.0) == 3.0 * row.epsilon_t * 3 * 5.0
 
 
 def test_deterministic_given_seed(bimodal_small):
@@ -145,6 +147,13 @@ def test_rejects_bad_inputs(bimodal_small):
     cont = ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0)
     with pytest.raises(ValueError):
         run_no_regret(cont, env, T=5, delta=0.1, seed=0)
+    # regret_bound checks n and H as loss_bound does
+    for n, h, message in ((0, 1.0, "n must be >= 1"), (-1, 1.0, "n must be >= 1"),
+                          (3, math.nan, "h_max must be finite"), (3, -1.0, "h_max must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            regret_bound(10, 0.1, n, h)
+        with pytest.raises(ValueError, match=message):
+            loss_bound(10, 0.1, n, h)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -73,6 +73,21 @@ def test_optimal_plan_refuses_continuous():
         optimal_plan(d)
 
 
+@pytest.mark.parametrize(
+    "price",
+    [
+        lambda d, env: expected_revenue_enum(d, env, IroningPlan.empty()),
+        virtual_welfare_bound,
+        lambda d, env: additive_loss(d, env, IroningPlan.empty()),
+    ],
+    ids=["enum", "virtual_welfare_bound", "additive_loss"],
+)
+def test_exact_oracles_refuse_a_law_that_is_not_discrete(price):
+    d = ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0)
+    with pytest.raises(ValueError, match="requires a discrete distribution"):
+        price(d, Environment.single_item(3))
+
+
 def test_enum_example2_value(bimodal_small):
     env = Environment.single_item(10)
     rep = expected_revenue_enum(bimodal_small, env, optimal_plan(bimodal_small))
@@ -114,6 +129,9 @@ def test_enum_guard():
     for d, n in ((two, 200_000), (one, 10**9)):
         with pytest.raises(GuardError):
             expected_revenue_enum(d, Environment.single_item(n), IroningPlan.empty())
+    # 200,000 bidders also overflow a float, but the count of bid prices is refused first
+    with pytest.raises(GuardError, match="^40000200000 bid prices exceed the enumeration guard$"):
+        expected_revenue_enum(two, Environment.single_item(200_000), IroningPlan.empty())
 
 
 def test_oracles_refuse_blocks_whose_coefficients_overflow_a_float():
