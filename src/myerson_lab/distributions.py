@@ -11,6 +11,7 @@ induced curve are all read from those runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -158,19 +159,79 @@ def sample(dist: ValueDistribution, count: int, seed) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def index(probs: np.ndarray) -> np.ndarray:
-        # the draw Generator.choice(len(probs), count, p=probs) makes, bit
-        # for bit, without its checks of p: the laws are checked when built
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        return cdf.searchsorted(rng.random(count), side="right")
-
     if dist.is_discrete:
         vals, probs = dist._atom_arrays
-        return vals[index(probs)]
+        return vals[_cdf_index(probs, rng.random(count))]
     los = np.array([lo for lo, _, _ in dist.components])
     his = np.array([hi for _, hi, _ in dist.components])
-    idx = index(np.array([w for _, _, w in dist.components]))
+    idx = _cdf_index(np.array([w for _, _, w in dist.components]), rng.random(count))
     u = rng.uniform(size=count)
     return los[idx] + u * (his[idx] - los[idx])
+
+
+def _cdf_index(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The indices that Generator.choice(len(probs), p=probs) draws from the
+    uniforms u, bit for bit, without its checks of p: the laws are checked
+    when built."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier (pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _spawned_uniforms(seed, keys: np.ndarray, n: int) -> np.ndarray:
+    """Row i is ``default_rng(SeedSequence([seed, 0], spawn_key=(keys[i],))).random(n)``,
+    bit for bit, for keys below 2**32, built for all keys at once.
+
+    Every child shares the pool of ``SeedSequence([seed, 0])`` up to the
+    last hashmix, which mixes its spawn word into each pool word; the
+    entropy words before it (at least the pool's 4) set that step's hash
+    constant.  The child's 8 ``generate_state`` words seed PCG64, a
+    128-bit LCG with XSL-RR output, in (hi, lo) uint64 halves.
+    """
+    seed = int(seed)
+    pool = np.random.SeedSequence([seed, 0]).pool.astype(np.uint64)  # refuses a seed as numpy does
+    words = max(4, -(-seed.bit_length() // 32) + 1)  # [seed, 0] in uint32 words, padded to the pool
+    consts = [_INIT_A * pow(_MULT_A, 4 * words + j, 2**32) & _M32 for j in range(5)]
+    # SeedSequence's mix of each pool word with the hashed spawn word
+    pool = (_MIX_L * pool - _MIX_R * _hashmix(keys.astype(np.uint64)[:, None], consts)) & _M32
+    pool ^= pool >> 16
+    state = _hashmix(np.tile(pool, 2), [_INIT_B * pow(_MULT_B, j, 2**32) & _M32 for j in range(9)])
+    state = state[:, 0::2] | (state[:, 1::2] << 32)  # four little-endian uint64 words
+    init = state[:, :1], state[:, 1:2]
+    inc = (state[:, 2:3] << 1) | (state[:, 3:4] >> 63), (state[:, 3:4] << 1) | 1
+    # srandom leaves the state a*init + (1 + a)*inc and each draw steps before it
+    # reads, so draw j (j = 1..n) reads a^(j+1)*init + (1 + a + ... + a^(j+1))*inc
+    powers = [pow(_PCG_MULT, j, 2**128) for j in range(n + 2)]
+    sums = [x % 2**128 for x in itertools.accumulate(powers)]
+    m_hi, m_lo = _mul128(init, powers[2:])
+    s_hi, s_lo = _mul128(inc, sums[2:])
+    lo = m_lo + s_lo
+    hi = m_hi + s_hi + (lo < s_lo)
+    x, rot = hi ^ lo, hi >> 58
+    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
+
+
+def _hashmix(x: np.ndarray, consts: list[int]) -> np.ndarray:
+    """SeedSequence's hashmix of x[..., j] with the hash constant stepping
+    from consts[j] to consts[j + 1]."""
+    x = ((x ^ np.array(consts[:-1], dtype=np.uint64)) * np.array(consts[1:], dtype=np.uint64)) & _M32
+    return x ^ (x >> 16)
+
+
+def _mul128(a: tuple[np.ndarray, np.ndarray], consts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 halves of a * consts[j] mod 2**128 in column j; the
+    high half of the low halves' product is summed in 32-bit limbs."""
+    a1, a0 = a
+    b1 = np.array([c >> 64 for c in consts], dtype=np.uint64)
+    b0 = np.array([c & (2**64 - 1) for c in consts], dtype=np.uint64)
+    x0, x1, y0, y1 = a0 & _M32, a0 >> 32, b0 & _M32, b0 >> 32
+    mid = ((x0 * y0) >> 32) + ((x0 * y1) & _M32) + ((x1 * y0) & _M32)
+    carry = x1 * y1 + ((x0 * y1) >> 32) + ((x1 * y0) >> 32) + (mid >> 32)
+    return carry + a1 * b0 + a0 * b1, a0 * b0

@@ -246,6 +246,14 @@ def _check_n_h(n: int, h_max: float) -> None:
         raise ValueError(f"h_max must be >= 0, got {h_max}")
 
 
+def _check_gamma(gamma: float) -> None:
+    """Refuse a gamma that is below 1 or not finite."""
+    if gamma < 1.0:
+        raise ValueError("gamma must be >= 1")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+
+
 def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, h_max: float) -> int:
     """Samples needed for a (1 - eps_target) multiplicative guarantee.
 
@@ -255,10 +263,7 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
     if not 0.0 < delta < eps_target < 1.0:
         raise ValueError("need 0 < delta < eps_target < 1")
     _check_n_h(n, h_max)
-    if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    _check_gamma(gamma)
     raw = (math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2
     return math.ceil(raw)
 

@@ -2,17 +2,21 @@
 
 Round zero deploys the plain welfare auction (empty plan); every later
 round learns a plan at per-round confidence delta/T from the empirical
-quantile of all bids seen so far, and deploys it.  Bids come from a
-discrete law, so all bids so far are a vector of counts over its atoms:
-each round adds its bids' counts to the last round's, and the learner
-takes a block of rounds' count vectors in one call, building each
-distinct plan once.  Each round is charged the expected loss of the
-deployed plan against the optimal plan (not the noisy realized revenue
-of its bids).  Both revenues come from the quadrature oracle's cache,
-once per process.  Each round's ``bound_t`` is ``loss_bound`` of the
-n*t bids it learned from at confidence delta/T, so it is 3 * epsilon_t
-* n * H of its own row to the bit; round 0's is n * H.  A trace's CSV
-columns are ``RoundRecord``'s fields, each cell formatted by ``_fmt``.
+quantile of all bids seen so far, and deploys it.  Round t's bids are
+the first n uniforms of the child ``SeedSequence([seed, 0],
+spawn_key=(2t,))`` (odd children go unused), mapped through the law's
+cdf as ``sample`` maps them.  Bids come from a discrete law, so all
+bids so far are a vector of counts over its atoms: each round adds its
+bids' counts to the last round's, and one vectorised pass draws a block
+of rounds' bids, which the learner takes as count vectors in one call,
+building each distinct plan once.  Each round is charged the expected
+loss of the deployed plan against the optimal plan (not the noisy
+realized revenue of its bids).  Both revenues come from the quadrature
+oracle's cache, once per process.  Each round's ``bound_t`` is
+``loss_bound`` of the n*t bids it learned from at confidence delta/T, so
+it is 3 * epsilon_t * n * H of its own row to the bit; round 0's is
+n * H.  A trace's CSV columns are ``RoundRecord``'s fields, each cell
+formatted by ``_fmt``.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distributions import ValueDistribution, sample
+from .distributions import ValueDistribution, _cdf_index, _spawned_uniforms
+# sample is unused here but stays bound: perfbench's traced pass patches it by name
+from .distributions import sample  # noqa: F401
 # run_auction and compute_auction are unused here but stay bound: perfbench's traced pass
 # patches them by name, and its Tracer.patch raises KeyError on a name the module lacks
 from .engine import run_auction  # noqa: F401
 from .environments import Environment
 from .learner import compute_auction  # noqa: F401
-from .learner import IroningPlan, _check_n_h, _count_plans, loss_bound
+from .learner import IroningPlan, _check_gamma, _check_n_h, _count_plans, loss_bound
 from .empirical import dkw_epsilon
 # expected_revenue_enum is unused here but stays bound: perfbench's traced pass patches it by name
 from .oracle import expected_revenue_enum, expected_revenue_quadrature, optimal_plan  # noqa: F401
@@ -90,6 +96,10 @@ def run_no_regret(
 ) -> RegretTrace:
     """Simulate T learning rounds; deterministic given the seed.
 
+    Round t's bids are the n values that
+    ``sample(dist, n, SeedSequence([int(seed), 0], spawn_key=(2 * t,)))``
+    draws: the first n uniforms of that child, mapped through the law's
+    cdf.  So T is at most 2**31, and every spawn key is one uint32 word.
     Round 0 records ``epsilon_t = inf`` (m_t = 0). Every round is charged
     the oracle's expected revenue of its plan, not the realized bids, so
     the trace depends on the seed only through the plans it learns: while
@@ -100,20 +110,15 @@ def run_no_regret(
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if T > 2**31:
+        raise ValueError(f"T must be <= 2**31, so that every spawn key is one uint32 word; got {T}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not dist.is_discrete:
         raise ValueError("loss accounting needs a discrete distribution")
     n, h = env.n, dist.h_max
-    support = np.array([v for v, _ in dist.atoms])
+    support, probs = dist._atom_arrays
     s = len(support)
-
-    def bids(t: int) -> np.ndarray:
-        """Round t's bids, seeded by spawn child 2t of SeedSequence([seed, 0])
-        (odd children go unused), built alone instead of spawning all
-        2(T + 1) children up front."""
-        return sample(dist, n, np.random.SeedSequence([int(seed), 0], spawn_key=(2 * t,)))
-
     opt_rev = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
     plan_cache: dict[IroningPlan, tuple[float, str]] = {}
     rows: list[RoundRecord] = []
@@ -135,8 +140,8 @@ def run_no_regret(
     for first in range(1, T + 1, block):
         ts = range(first, min(first + block, T + 1))
         # round t learns from the bids of rounds 0 to t - 1 (no round learns from the last round's bids)
-        atoms = support.searchsorted(np.concatenate([bids(t - 1) for t in ts]))
-        drawn = np.bincount(np.arange(len(ts)).repeat(n) * s + atoms, minlength=len(ts) * s)
+        atoms = _cdf_index(probs, _spawned_uniforms(seed, 2 * np.arange(first - 1, ts.stop - 1), n))
+        drawn = np.bincount((np.arange(len(ts))[:, None] * s + atoms).ravel(), minlength=len(ts) * s)
         counts = seen + drawn.reshape(len(ts), s).cumsum(axis=0)
         seen = counts[-1]
         epsilons = [dkw_epsilon(n * t, delta / T) for t in ts]
@@ -152,4 +157,5 @@ def regret_bound(T: int, delta: float, n: int, h_max: float, gamma: float = 1.0)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _check_n_h(n, h_max)
+    _check_gamma(gamma)
     return (n * h_max) * (1.0 + 3.0 * gamma * math.sqrt(2.0 * T * math.log(4.0 * T / delta) / n))

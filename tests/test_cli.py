@@ -279,6 +279,8 @@ ARRAY = "[1, 2]"
                  "--seed", "-2"], "--seed must be >= 0, got -2"),
         (ARRAY, ["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", "3", "--seed", "-1"],
          "--seed must be >= 0, got -1"),
+        (ARRAY, ["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", str(2**31 + 1), "--seeds", "1"],
+         f"T must be <= 2**31, so that every spawn key is one uint32 word; got {2**31 + 1}"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
@@ -290,6 +292,7 @@ ARRAY = "[1, 2]"
         "samples_h_max_inf", "bound_h_max_nan", "bound_n_negative", "bound_h_max_negative",
         "samples_h_max_negative", "learn_h_max_inf", "learn_sample_above_h_max", "learn_no_samples",
         "run_negative_seed", "eval_negative_seed", "loss_negative_seed", "regret_negative_seed",
+        "regret_T_beyond_one_word_spawn_keys",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

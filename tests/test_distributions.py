@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from myerson_lab.curves import curve_from_price_runs
-from myerson_lab.distributions import ValueDistribution, sample
+from myerson_lab.distributions import ValueDistribution, _spawned_uniforms, sample
 from myerson_lab.empirical import dkw_epsilon
 
 from conftest import rare_high_dist
@@ -48,6 +48,16 @@ def test_atom_arrays_are_built_once_and_draws_keep_their_bits():
     want = [4.0, 1.0, 1.0, 4.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0, 4.0]
     assert sample(d, 12, 2024).tolist() == want
     assert sample(d, 12, 2024).tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7])
+def test_spawned_uniforms_are_numpys_bits(seed, n):
+    # even keys on both sides of a learner block edge at 512 rounds, and the largest key
+    keys = np.array([0, 2, 1020, 1022, 1024, 1026, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+    got = _spawned_uniforms(seed, keys, n)
+    want = [np.random.default_rng(np.random.SeedSequence([seed, 0], spawn_key=(int(k),))).random(n) for k in keys]
+    assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_sample_count_precondition():

@@ -6,7 +6,7 @@ import pytest
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import dkw_epsilon
 from myerson_lab.environments import Environment
-from myerson_lab.learner import loss_bound
+from myerson_lab.learner import loss_bound, required_samples_iid
 from myerson_lab import online
 from myerson_lab.online import regret_bound, run_no_regret
 from reference import run_no_regret_concatenating
@@ -15,7 +15,7 @@ LAW8 = ValueDistribution.discrete(
     [(1, 0.30), (2, 0.20), (3, 0.12), (4, 0.08), (6, 0.05), (8, 0.10), (9, 0.10), (10, 0.05)], h_max=10.0
 )
 TWO_ATOM = ValueDistribution.discrete([(1, 0.9), (10, 0.1)], h_max=10.0)
-# name -> (law, environment, T); the last case's T spans more than one learner block
+# name -> (law, environment, T); the last two cases span at least three learner blocks
 INCREMENTAL_CASES = {
     "two-atom-single3": (TWO_ATOM, Environment.single_item(3), 120),
     "law8-position6": (LAW8, Environment.position([1, 0.6, 0.3], 6), 120),
@@ -28,6 +28,7 @@ INCREMENTAL_CASES = {
     "two-atom-single3-T1": (TWO_ATOM, Environment.single_item(3), 1),
     "two-atom-single3-T2": (TWO_ATOM, Environment.single_item(3), 2),
     "law8-single2-blocks": (LAW8, Environment.single_item(2), 1300),
+    "two-atom-single3-blocks": (TWO_ATOM, Environment.single_item(3), 1300),
 }
 
 
@@ -87,6 +88,12 @@ def test_deterministic_given_seed(bimodal_small):
     assert min(row.epsilon_t for row in a.rows) < 0.1
     c = run_no_regret(bimodal_small, env, T=200, delta=0.1, seed=4)
     assert c != a
+    # a seed is read as its int(), as SeedSequence([int(seed), 0]) reads it
+    for same in (np.uint32(3), 3.5, "3"):
+        assert run_no_regret(bimodal_small, env, T=200, delta=0.1, seed=same) == a
+    assert run_no_regret(bimodal_small, env, T=200, delta=0.1, seed=True) == run_no_regret(
+        bimodal_small, env, T=200, delta=0.1, seed=1
+    )
 
 
 def test_fifty_bidders_beyond_enumeration_reproduce():
@@ -147,6 +154,19 @@ def test_rejects_bad_inputs(bimodal_small):
     cont = ValueDistribution.uniform_mixture([(0.0, 1.0, 1.0)], h_max=1.0)
     with pytest.raises(ValueError):
         run_no_regret(cont, env, T=5, delta=0.1, seed=0)
+    # numpy's own refusal of a negative seed, which a split into uint32 words would loop on
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_no_regret(bimodal_small, env, T=5, delta=0.1, seed=-1)
+    # round t's spawn key 2t must be one uint32 word
+    with pytest.raises(ValueError, match=r"T must be <= 2\*\*31"):
+        run_no_regret(bimodal_small, env, T=2**31 + 1, delta=0.1, seed=0)
+    # regret_bound checks gamma as required_samples_iid does
+    for gamma, message in ((-5.0, "gamma must be >= 1"), (0.5, "gamma must be >= 1"),
+                           (math.nan, "gamma must be finite"), (math.inf, "gamma must be finite")):
+        with pytest.raises(ValueError, match=message):
+            regret_bound(10, 0.1, 3, 1.0, gamma=gamma)
+        with pytest.raises(ValueError, match=message):
+            required_samples_iid(0.2, 0.1, 3, gamma, 1.0)
     # regret_bound checks n and H as loss_bound does
     for n, h, message in ((0, 1.0, "n must be >= 1"), (-1, 1.0, "n must be >= 1"),
                           (3, math.nan, "h_max must be finite"), (3, -1.0, "h_max must be >= 0")):
@@ -166,6 +186,16 @@ def test_merging_bids_gives_the_trace_of_relearning_from_all_bids(case, seed):
     assert len({row.plan_hash for row in trace.rows}) >= 2
 
 
+@pytest.mark.parametrize("seed", [2**32 + 5, 2**100 + 7], ids=["two-word-seed", "four-word-seed"])
+@pytest.mark.parametrize("case", ["law8-single2-blocks", "two-atom-single3-blocks"])
+def test_wide_seeds_give_the_trace_of_relearning_from_all_bids(case, seed):
+    dist, env, T = INCREMENTAL_CASES[case]
+    assert run_no_regret(dist, env, T=T, delta=0.1, seed=seed) == run_no_regret_concatenating(
+        dist, env, T=T, delta=0.1, seed=seed
+    )
+
+
 def test_a_trace_case_spans_learner_blocks():
-    dist, _, T = INCREMENTAL_CASES["law8-single2-blocks"]
-    assert T > 2 * (online._BLOCK_CELLS // len(dist.atoms))
+    for case in ("law8-single2-blocks", "two-atom-single3-blocks"):
+        dist, _, T = INCREMENTAL_CASES[case]
+        assert T > 2 * (online._BLOCK_CELLS // len(dist.atoms))

@@ -29,10 +29,13 @@ def pinned_cases():
     """name -> (experiment, dist, env, keyword arguments)."""
     single3, pos6 = Environment.single_item(3), Environment.position([1, 0.6, 0.3], 6)
     regret = dict(T=300, delta=0.1, seeds=10, master_seed=0)
+    # a three-word master seed, and T = 1,300 rounds that span several learner blocks
+    regret_wide = dict(T=1300, delta=0.1, seeds=2, master_seed=2**64 + 1)
     loss = dict(m_list=[30, 100, 1000], trials=20, delta=0.1, seed=0)
     return {
         "regret-law2-single3": ("regret", LAW2, single3, regret),
         "regret-law8-position6": ("regret", LAW8, pos6, regret),
+        "regret-law8-position6-wide-seed": ("regret", LAW8, pos6, regret_wide),
         "loss-law2-single3": ("loss", LAW2, single3, loss),
         "loss-law8-position6": ("loss", LAW8, pos6, loss),
     }
