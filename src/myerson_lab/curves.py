@@ -12,8 +12,9 @@ either side, and it is linear in between.  The concave envelope prunes,
 in whole-array passes, the points on or below the chord of their
 neighbours, then runs a monotone chain over the rest; the gap scan reads
 each grid piece's hull segment off a count of hull vertices.  The
-learner runs the same chain on each row of a price-run grid, and the
-same scan once over all rows' grids laid end to end.  One
+learner runs the same passes over all rows of a price-run grid at once,
+the chain only on the rows they leave unsettled, and the same scan once
+over all rows' grids laid end to end.  One
 construction, ``induced_curve``, applies an ironing plan to price runs:
 every ironing chord and reserve plateau comes from it.
 """
@@ -191,31 +192,16 @@ def price_left_of_runs(runs: PriceRuns, q):
     return runs.prices[np.maximum(i, 0)]
 
 
-def _prune_below_chords(qs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop, in whole-array passes, every point on or below the chord of
-    its two neighbours, by the monotone chain's own test and operand
-    order; no such point is a hull vertex.  Passes stop once one removes
-    less than a fifth of the points or at most 64 remain."""
-    while len(qs) > 64:
-        n = len(qs)
-        oq, ov, aq, av, q, v = qs[:-2], vs[:-2], qs[1:-1], vs[1:-1], qs[2:], vs[2:]
-        below = (aq - oq) * (v - ov) - (av - ov) * (q - oq) >= 0.0
-        keep = np.concatenate(([True], ~below, [True]))
-        qs, vs = qs[keep], vs[keep]
-        if 5 * (n - len(qs)) < n:
-            break
-    return qs, vs
-
-
 def _hull_indices(qs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Positions of the upper hull's vertices among two or more points
-    whose qs rise strictly.
+    whose qs rise strictly, by a monotone chain.
 
-    After the pruning passes, a monotone chain pops the last hull point
-    a while it lies on or below the chord from the one before it, o, to
-    the new point.  The hull is the list sq followed by o and a.
+    The chain pops the last hull point a while it lies on or below the
+    chord from the one before it, o, to the new point.  The hull is the
+    list sq followed by o and a.  ``_prune_below_chords`` runs it only on
+    the rows its passes leave unsettled.
     """
-    points = zip(*(a.tolist() for a in _prune_below_chords(qs, vs)))
+    points = zip(qs.tolist(), vs.tolist())
     (oq, ov), (aq, av) = next(points), next(points)
     sq, sv = [], []
     for q, v in points:
@@ -229,6 +215,56 @@ def _hull_indices(qs: np.ndarray, vs: np.ndarray) -> np.ndarray:
             oq, ov = aq, av
         aq, av = q, v
     return qs.searchsorted(sq + [oq, aq])
+
+
+def _prune_below_chords(qs: np.ndarray, vs: np.ndarray, tops=None) -> np.ndarray:
+    """Positions of the upper hulls' vertices of the rows of ``qs`` and
+    ``vs``, each row being its points from position 0 up to its entry in
+    ``tops`` (or all of a 1-D lone row), with qs that rise strictly.  The
+    positions count along the rows laid end to end, and ascend.
+
+    Each whole-array pass covers every row at once and drops each point on
+    or below the chord of its two live neighbours in its row, by the
+    monotone chain's own test and operand order; no such point is a hull
+    vertex, and a row's ends are never tested.  A row is settled once a
+    pass drops none of its points: its live points are then its hull, and
+    later passes skip it.  Passes run while the unsettled rows hold more
+    than 64 points, and stop after one that drops under a fifth of them;
+    then the chain, ``_hull_indices``, finishes each row still unsettled.
+    """
+    if tops is None or len(tops) == 1:  # a lone row needs no row labels: positions are its qs' ranks
+        qs, vs = (qs, vs) if tops is None else (qs[0, : tops[0] + 1], vs[0, : tops[0] + 1])
+        q, v, at, row = qs, vs, None, None
+    else:
+        g = qs.shape[1]
+        at = (np.arange(g) <= tops[:, None]).ravel().nonzero()[0]  # the unsettled rows' live points
+        q, v, row = qs.ravel()[at], vs.ravel()[at], at // g
+    settled = []  # the live points of each row as it settles
+    while len(q) > 64:
+        n = len(q)
+        oq, ov, aq, av, nq, nv = q[:-2], v[:-2], q[1:-1], v[1:-1], q[2:], v[2:]
+        below = (aq - oq) * (nv - ov) - (av - ov) * (nq - oq) >= 0.0
+        if row is not None:
+            below &= row[:-2] == row[2:]  # test only the triples inside one row
+        drops = np.count_nonzero(below)
+        if row is None and not drops:
+            return qs.searchsorted(q)  # the lone row is settled
+        keep = np.concatenate(([True], ~below, [True]))
+        if row is not None:
+            hit = np.zeros(row[-1] + 1, dtype=bool)
+            hit[row[1:-1][below]] = True
+            unsettled = hit[row]  # the points of the rows this pass dropped from
+            settled.append(at[~unsettled])
+            keep &= unsettled
+            at, row = at[keep], row[keep]
+        q, v = q[keep], v[keep]
+        if 5 * drops < n:
+            break
+    if row is None:
+        return qs.searchsorted(q[_hull_indices(q, v)])
+    cuts = np.concatenate(([0], (row[1:] != row[:-1]).nonzero()[0] + 1, [len(row)])).tolist()
+    settled += [at[a:b][_hull_indices(q[a:b], v[a:b])] for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+    return np.sort(np.concatenate(settled))
 
 
 def _curve_grid(curve: PiecewiseLinearCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,7 +285,7 @@ def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
     """
     qs, left, right = _curve_grid(curve)
     top = np.maximum(left, right)
-    hull = _hull_indices(qs, top)
+    hull = _prune_below_chords(qs, top)
     return PiecewiseLinearCurve(qs[hull], top[hull])
 
 

@@ -58,13 +58,23 @@ class EmpiricalQuantile:
         return EmpiricalQuantile(xs[starts], counts, h_max)
 
 
-def dkw_epsilon(m: int, delta: float) -> float:
-    """Uniform CDF deviation radius sqrt(ln(2/delta) / (2m))."""
-    if m < 1:
+def dkw_epsilon(m, delta: float):
+    """Uniform CDF deviation radius sqrt(ln(2/delta) / (2m)), for one m or
+    for each of an integer array of them.
+
+    ln(2/delta) is taken once, and the division and the square root are
+    correctly rounded, so each element of the array form is ``==`` the
+    call on that element alone.
+    """
+    lo, hi = (m.min(), m.max()) if isinstance(m, np.ndarray) else (m, m)
+    if not (-math.inf < lo and hi < math.inf):  # NaN fails both
+        raise ValueError("m must be finite")
+    if lo < 1:
         raise ValueError("m must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
+    ratio = math.log(2.0 / delta) / (2.0 * m)
+    return np.sqrt(ratio) if isinstance(m, np.ndarray) else math.sqrt(ratio)
 
 
 def _min_edges(counts: np.ndarray, eps: np.ndarray) -> np.ndarray:

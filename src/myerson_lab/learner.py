@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _hull_indices, _price_run_grid, _run_grid, induced_curve
+from .curves import PiecewiseLinearCurve, PriceRuns, _gap_ends, _price_run_grid, _prune_below_chords, _run_grid
+from .curves import induced_curve
 
 # unused here but bound: perfbench's traced pass patches these names
 from .curves import argmax_quantile, concave_envelope, difference_intervals, price_left_of_runs  # noqa: F401
@@ -135,8 +136,9 @@ def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: floa
     depends on them alone and touches the curve at q*, and a gap beyond q*
     maps to an interval at or below the reserve, which ``canonical``
     prunes.  The gaps between the curve and its hull, and q*, map to value
-    space as the price just below each grid point.  Each row's hull is
-    found alone, and one scan finds the gaps of all rows laid end to end.
+    space as the price just below each grid point.  The rows' hulls are
+    found in shared pruning passes over all rows (``_prune_below_chords``),
+    and one scan finds the gaps of all rows laid end to end.
     A row's plan is fixed by which grid points hold q* and open and close
     gaps, so each distinct row of such marks is built once.
     """
@@ -148,9 +150,7 @@ def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: floa
     if len(ironed):
         tops = k[ironed]
         iq, iu = (qs, upper) if len(ironed) == len(qs) else (qs[ironed], upper[ironed])
-        hull = np.concatenate(
-            [j * g + _hull_indices(q[: c + 1], u[: c + 1]) for j, (q, u, c) in enumerate(zip(iq, iu, tops.tolist()))]
-        )
+        hull = _prune_below_chords(iq, iu, tops)
         end = hull[-1] + 1  # the last row's q*
         live = (np.arange(g) < tops[:, None]).ravel()[: end - 1] if len(ironed) > 1 else None
         lined_q, lined_u, lined_right = iq.ravel()[:end], iu.ravel()[:end], (iq * right).ravel()[:end]
@@ -268,8 +268,10 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
     return math.ceil(raw)
 
 
-def loss_bound(m: int, delta: float, n: int, h_max: float) -> float:
+def loss_bound(m, delta: float, n: int, h_max: float):
     """High-probability additive revenue-loss bound 3 * epsilon * n * H for
-    m samples: the one place it is computed, in this float order."""
+    m samples, or for each of an integer array of m: the one place it is
+    computed, in this float order, so each element of the array form is
+    ``==`` the call on that element alone."""
     _check_n_h(n, h_max)
     return 3.0 * dkw_epsilon(m, delta) * n * h_max

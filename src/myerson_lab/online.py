@@ -12,11 +12,13 @@ of rounds' bids, which the learner takes as count vectors in one call,
 building each distinct plan once.  Each round is charged the expected
 loss of the deployed plan against the optimal plan (not the noisy
 realized revenue of its bids).  Both revenues come from the quadrature
-oracle's cache, once per process.  Each round's ``bound_t`` is
-``loss_bound`` of the n*t bids it learned from at confidence delta/T, so
-it is 3 * epsilon_t * n * H of its own row to the bit; round 0's is
-n * H.  A trace's CSV columns are ``RoundRecord``'s fields, each cell
-formatted by ``_fmt``.
+oracle's cache, once per process, and a trace looks each plan up once
+per round.  Each round's ``bound_t`` is ``loss_bound`` of the n*t bids
+it learned from at confidence delta/T, so it is 3 * epsilon_t * n * H
+of its own row to the bit; round 0's is n * H.  A block's epsilon_t and
+bound_t come from one array call each over its m_t, which is ``==`` the
+call on each round alone.  A trace's CSV columns are ``RoundRecord``'s
+fields, each cell formatted by ``_fmt``.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ class RegretTrace:
         return [header] + [prefix + ",".join(_fmt(getattr(r, f)) for f in TRACE_FIELDS) for r in self.rows]
 
 
+def _check_T(T) -> None:
+    """Refuse a round count that is not finite or is below 1."""
+    if not T < math.inf:  # NaN fails too
+        raise ValueError(f"T must be finite, got {T}")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+
+
 def run_no_regret(
     dist: ValueDistribution,
     env: Environment,
@@ -108,8 +118,7 @@ def run_no_regret(
     the learner's memory does not grow with T.  Plans are priced by the
     shared quadrature cache, once per process.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_T(T)
     if T > 2**31:
         raise ValueError(f"T must be <= 2**31, so that every spawn key is one uint32 word; got {T}")
     if not 0.0 < delta < 1.0:
@@ -125,9 +134,10 @@ def run_no_regret(
 
     def record(t: int, epsilon_t: float, plan: IroningPlan, bound_t: float) -> None:
         """Charge round t the loss of ``plan``, priced once per trace."""
-        if plan not in plan_cache:
-            plan_cache[plan] = expected_revenue_quadrature(dist, env, plan).expected_revenue, plan.short_hash()
-        rev, plan_hash = plan_cache[plan]
+        priced = plan_cache.get(plan)
+        if priced is None:
+            priced = plan_cache[plan] = expected_revenue_quadrature(dist, env, plan).expected_revenue, plan.short_hash()
+        rev, plan_hash = priced
         if opt_rev - rev < -1e-9:
             raise RuntimeError("deployed plan beats the oracle optimum; oracle bug")
         loss = max(0.0, opt_rev - rev)
@@ -144,16 +154,17 @@ def run_no_regret(
         drawn = np.bincount((np.arange(len(ts))[:, None] * s + atoms).ravel(), minlength=len(ts) * s)
         counts = seen + drawn.reshape(len(ts), s).cumsum(axis=0)
         seen = counts[-1]
-        epsilons = [dkw_epsilon(n * t, delta / T) for t in ts]
-        for t, eps_t, plan in zip(ts, epsilons, _count_plans(support, counts, np.array(epsilons), h)):
-            record(t, eps_t, plan, loss_bound(n * t, delta / T, n, h))
+        ms = n * np.arange(first, ts.stop)
+        epsilons = dkw_epsilon(ms, delta / T)
+        plans = _count_plans(support, counts, epsilons, h)
+        for t, eps_t, plan, bound_t in zip(ts, epsilons.tolist(), plans, loss_bound(ms, delta / T, n, h).tolist()):
+            record(t, eps_t, plan, bound_t)
     return RegretTrace(rows=tuple(rows))
 
 
 def regret_bound(T: int, delta: float, n: int, h_max: float, gamma: float = 1.0) -> float:
     """Closed-form cumulative loss bound (n*H)(1 + 3*gamma*sqrt(2T ln(4T/delta)/n))."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_T(T)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     _check_n_h(n, h_max)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from myerson_lab import curves
 from myerson_lab.curves import (
     PiecewiseLinearCurve,
     _prune_below_chords,
@@ -184,7 +185,7 @@ def test_pruning_drops_collinear_dyadic_points_in_one_pass():
     # 3/4: every other vertex lies exactly on its neighbours' chord
     qs = np.arange(1025) / 1024.0
     vs = np.minimum(np.minimum(4.0 * qs, 0.75 + qs), 1.5)
-    assert _prune_below_chords(qs, vs)[0].tolist() == [0.0, 0.25, 0.75, 1.0]
+    assert qs[_prune_below_chords(qs, vs)].tolist() == [0.0, 0.25, 0.75, 1.0]
     hull = _check_hull_and_gaps(PiecewiseLinearCurve(qs, vs))
     assert hull.vertices == ((0.0, 0.0), (0.25, 1.0), (0.75, 1.5), (1.0, 1.5))
 
@@ -193,9 +194,88 @@ def test_pruning_keeps_every_point_of_a_strictly_concave_curve():
     # an exact parabola on the q's k/256: each chord test is exact and negative
     k = np.arange(257.0)
     qs, vs = k / 256.0, k * (512.0 - k) / 65536.0
-    assert _prune_below_chords(qs, vs)[0].tolist() == qs.tolist()
+    assert qs[_prune_below_chords(qs, vs)].tolist() == qs.tolist()
     curve = PiecewiseLinearCurve(qs, vs)
     assert _check_hull_and_gaps(curve).vertices == curve.vertices
+
+
+# The row-wise pruning passes against the monotone chain run on each row
+# alone.  Points past a row's top are NaN: no pass may read them.
+
+
+def _settling_pass(q: np.ndarray, v: np.ndarray) -> int:
+    """The pass on which one row, pruned alone, first drops no point."""
+    passes = 1
+    while True:
+        below = (q[1:-1] - q[:-2]) * (v[2:] - v[:-2]) - (v[1:-1] - v[:-2]) * (q[2:] - q[:-2]) >= 0.0
+        if not below.any():
+            return passes
+        keep = np.concatenate(([True], ~below, [True]))
+        q, v = q[keep], v[keep]
+        passes += 1
+
+
+def _rows_hull_matches_the_chain(monkeypatch, qs, vs, tops) -> list:
+    """Assert the rows' hull positions are the chain's row by row, and
+    return the rows' settling passes and how many rows reached the chain."""
+    chain = curves._hull_indices
+    chained = []
+    monkeypatch.setattr(curves, "_hull_indices", lambda q, v: chained.append(len(q)) or chain(q, v))
+    got = _prune_below_chords(qs, vs, tops)
+    monkeypatch.undo()
+    g = qs.shape[1]
+    rows = [(qs[j, : c + 1], vs[j, : c + 1]) for j, c in enumerate(tops.tolist())]
+    assert got.tolist() == np.concatenate([j * g + chain(q, v) for j, (q, v) in enumerate(rows)]).tolist()
+    return [_settling_pass(q, v) for q, v in rows], len(chained)
+
+
+def _nan_past_tops(vs: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    return np.where(np.arange(vs.shape[1]) > tops[:, None], np.nan, vs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_hulls_are_the_chain_on_each_row(monkeypatch, seed):
+    rng = seeded_rng(65, seed)
+    r = int(rng.integers(1, 40))
+    tops = rng.integers(1, 300, size=r)  # rows of 2 to 300 points
+    g = int(tops.max()) + 1 + int(rng.integers(0, 3))
+    qs = np.sort(rng.random((r, g)), axis=1)
+    qs[:, 0] = 0.0
+    kind = rng.integers(3, size=(r, 1))
+    price = np.sort(rng.random((r, g)), axis=1)[:, ::-1]  # revenue curves, concave with dips, noise
+    dipped = np.sqrt(qs) - 0.05 * rng.random((r, g))
+    vs = np.where(kind == 0, qs * price, np.where(kind == 1, dipped, rng.random((r, g))))
+    settle, chained = _rows_hull_matches_the_chain(monkeypatch, qs, _nan_past_tops(vs, tops), tops)
+    if r > 1:  # rows settle on different passes, and the chain finishes some but not all of them
+        assert len(set(settle)) >= 3
+        assert 0 < chained < r
+    for j, c in enumerate(tops.tolist()):  # and each row alone
+        q, v = qs[j, : c + 1], vs[j, : c + 1]
+        assert _prune_below_chords(q, v).tolist() == curves._hull_indices(q, v).tolist()
+
+
+def test_row_hulls_of_collinear_dyadic_points_and_ties(monkeypatch):
+    # rows on the q's k/64: broken lines with dyadic slopes, flat runs of
+    # tied values and exact parabolas, so every chord test is exact
+    k = np.arange(65.0)
+    q = k / 64.0
+    shapes = [
+        np.minimum(np.minimum(4.0 * q, 0.75 + q), 1.5),  # every point between corners on a chord
+        np.full(65, 0.5),  # all tied
+        np.minimum(2.0 * q, 1.0),  # a rise, then ties
+        k * (128.0 - k) / 4096.0,  # strictly concave: settles on the first pass
+        k * k / 4096.0,  # convex: the first pass drops every inner point
+        np.where(k % 2 == 0, np.minimum(4.0 * q, 1.0), np.minimum(4.0 * q, 1.0) - 0.125),  # a dip at every odd k
+    ]
+    tops = np.array([64, 64, 40, 64, 64, 64, 1, 2, 33])
+    vs = np.stack(shapes + [shapes[0], shapes[4], shapes[5]])
+    qs = np.broadcast_to(q, vs.shape)
+    settle, _ = _rows_hull_matches_the_chain(monkeypatch, qs, _nan_past_tops(vs, tops), tops)
+    assert len(set(settle)) >= 2
+    hull = _prune_below_chords(qs, vs, tops)
+    assert (hull[hull // 65 == 0] % 65).tolist() == [0, 16, 48, 64]  # the corners
+    assert (hull[hull // 65 == 1] % 65).tolist() == [0, 64]  # ties drop
+    assert (hull[hull // 65 == 3] % 65).tolist() == list(range(65))
 
 
 @pytest.mark.parametrize("onto", ["left", "right"])

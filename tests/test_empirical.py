@@ -70,6 +70,20 @@ def test_dkw_epsilon_preconditions():
         dkw_epsilon(10, 1.0)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_dkw_epsilon_refuses_an_m_that_is_not_finite(m):
+    with pytest.raises(ValueError, match="m must be finite"):
+        dkw_epsilon(m, 0.1)
+    with pytest.raises(ValueError, match="m must be finite"):
+        dkw_epsilon(np.array([3.0, m]), 0.1)
+
+
+@pytest.mark.parametrize("ms", [[0], [5, 0, 7], [3, -2], [6, 12, 1, 0]])
+def test_dkw_epsilon_array_refuses_any_m_below_one(ms):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        dkw_epsilon(np.array(ms), 0.1)
+
+
 def test_r_min_constant_samples_clamp():
     eq = EmpiricalQuantile.from_samples([2.0] * 5, h_max=4.0)
     cmin = r_min_curve(eq, 0.1)

@@ -15,7 +15,11 @@ LAW8 = ValueDistribution.discrete(
     [(1, 0.30), (2, 0.20), (3, 0.12), (4, 0.08), (6, 0.05), (8, 0.10), (9, 0.10), (10, 0.05)], h_max=10.0
 )
 TWO_ATOM = ValueDistribution.discrete([(1, 0.9), (10, 0.1)], h_max=10.0)
-# name -> (law, environment, T); the last two cases span at least three learner blocks
+# the examples' over-ironing law: its optimal plan irons [1, 5) and [5, 5.5), but the 5.5 atom's
+# 1% run stays hidden while epsilon_t >= 0.01, so a trace of T = 1,300 learns one interval at most
+OVER_IRONING = ValueDistribution.discrete([(1, 0.89), (5, 0.1), (5.5, 0.01)], h_max=6.0)
+TWO_INTERVALS = ValueDistribution.discrete([(2, 0.51), (4, 0.3), (6, 0.19)], h_max=10.0)  # learns two intervals
+# name -> (law, environment, T); the cases named "-blocks" span at least three learner blocks
 INCREMENTAL_CASES = {
     "two-atom-single3": (TWO_ATOM, Environment.single_item(3), 120),
     "law8-position6": (LAW8, Environment.position([1, 0.6, 0.3], 6), 120),
@@ -29,6 +33,8 @@ INCREMENTAL_CASES = {
     "two-atom-single3-T2": (TWO_ATOM, Environment.single_item(3), 2),
     "law8-single2-blocks": (LAW8, Environment.single_item(2), 1300),
     "two-atom-single3-blocks": (TWO_ATOM, Environment.single_item(3), 1300),
+    "over-ironing-single3-blocks": (OVER_IRONING, Environment.single_item(3), 1300),
+    "two-intervals-single3-blocks": (TWO_INTERVALS, Environment.single_item(3), 1300),
 }
 
 
@@ -167,6 +173,15 @@ def test_rejects_bad_inputs(bimodal_small):
             regret_bound(10, 0.1, 3, 1.0, gamma=gamma)
         with pytest.raises(ValueError, match=message):
             required_samples_iid(0.2, 0.1, 3, gamma, 1.0)
+    # a round count or a sample count that is not finite is refused, not turned into nan or 0
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be finite"):
+            regret_bound(T, 0.1, 3, 10.0)
+        with pytest.raises(ValueError, match="T must be finite"):
+            run_no_regret(bimodal_small, env, T=T, delta=0.1, seed=0)
+    for m in (math.nan, math.inf, np.array([3, 0])):
+        with pytest.raises(ValueError, match="m must be"):
+            loss_bound(m, 0.1, 3, 10.0)
     # regret_bound checks n and H as loss_bound does
     for n, h, message in ((0, 1.0, "n must be >= 1"), (-1, 1.0, "n must be >= 1"),
                           (3, math.nan, "h_max must be finite"), (3, -1.0, "h_max must be >= 0")):
@@ -196,6 +211,33 @@ def test_wide_seeds_give_the_trace_of_relearning_from_all_bids(case, seed):
 
 
 def test_a_trace_case_spans_learner_blocks():
-    for case in ("law8-single2-blocks", "two-atom-single3-blocks"):
-        dist, _, T = INCREMENTAL_CASES[case]
-        assert T > 2 * (online._BLOCK_CELLS // len(dist.atoms))
+    for case in INCREMENTAL_CASES:
+        if case.endswith("-blocks"):
+            dist, _, T = INCREMENTAL_CASES[case]
+            assert T > 2 * (online._BLOCK_CELLS // len(dist.atoms))
+
+
+def test_a_trace_case_learns_plans_of_two_intervals_over_several_blocks(monkeypatch):
+    count_plans = online._count_plans
+    intervals = []  # per learner block, the most intervals of any plan it learned
+
+    def counting(*args):
+        plans = count_plans(*args)
+        intervals.append(max(len(p.intervals) for p in plans))
+        return plans
+
+    monkeypatch.setattr(online, "_count_plans", counting)
+    dist, env, T = INCREMENTAL_CASES["two-intervals-single3-blocks"]
+    run_no_regret(dist, env, T=T, delta=0.1, seed=0)
+    assert intervals.count(2) >= 3
+
+
+@pytest.mark.parametrize("T", [1, 2000, 2**31])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_array_bounds_are_the_scalar_calls(n, T):
+    # run_no_regret takes a block's epsilon_t and bound_t as arrays over m = n*t
+    ts = range(1, 100_001)
+    ms = n * np.arange(1, 100_001)
+    delta = 0.1 / T
+    assert dkw_epsilon(ms, delta).tolist() == [dkw_epsilon(n * t, delta) for t in ts]
+    assert loss_bound(ms, delta, n, 10.0).tolist() == [loss_bound(n * t, delta, n, 10.0) for t in ts]
