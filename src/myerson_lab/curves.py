@@ -1,22 +1,21 @@
 """Piecewise-linear curve arithmetic in quantile space.
 
-A curve lives on the quantile domain [0, 1] and is stored as two float
-arrays, the vertex quantiles ``qs`` and their ``values``.  It may carry
-jump discontinuities, stored as two vertices sharing one q: first the
-left limit, then the value taken at the point (which equals the right
-limit; evaluation is right-continuous at jumps).  Every evaluation takes
-one quantile or an array of them.  Revenue curves q * price(q) come from
+A curve lives on the quantile domain [0, 1] and is stored as three float
+arrays: its breakpoints ``qs`` and its limits from the left and from the
+right there, ``left`` and ``right``.  Every evaluation takes one
+quantile or an array of them.  Revenue curves q * price(q) come from
 ``PriceRuns``, two arrays of run edges and run prices; on the merged
 runs' edges the curve's one-sided limits are the edge times the prices
-either side, and it is linear in between.  The concave envelope prunes,
-in whole-array passes, the points on or below the chord of their
-neighbours, then runs a monotone chain over the rest; the gap scan reads
-each grid piece's hull segment off a count of hull vertices.  The
-learner runs the same passes over all rows of a price-run grid at once,
-the chain only on the rows they leave unsettled, and the same scan once
-over all rows' grids laid end to end.  One
-construction, ``induced_curve``, applies an ironing plan to price runs:
-every ironing chord and reserve plateau comes from it.
+either side.  The concave envelope prunes, in whole-array passes, the
+points on or below the chord of their neighbours, then runs a monotone
+chain over the rest; the gap scan reads each grid piece's hull segment
+off a count of hull vertices.  The learner runs the same passes over all
+rows of a price-run grid at once, the chain only on the rows they leave
+unsettled, and the same scan once over all rows' grids laid end to end.
+One construction, ``induced_curve``, applies an ironing plan to price
+runs: every ironing chord and reserve plateau comes from it.  The
+(q, value) vertex list, where a jump is two vertices at one q, is only
+an exchange format (``from_vertices`` and ``vertices``).
 """
 
 from __future__ import annotations
@@ -51,62 +50,63 @@ def _float_or_array(x):
 class PiecewiseLinearCurve:
     """A piecewise-linear function on [0, 1] with optional jumps.
 
-    ``qs`` and ``values`` are read-only float arrays of one length: the
-    vertices, with nondecreasing q, first q equal to 0 and last equal to
-    1.  At most two vertices may share one q; the pair represents a jump
-    as (left limit, right limit).  The evaluation methods take one
+    ``qs``, ``left`` and ``right`` are read-only float arrays of one
+    length: the breakpoints, rising strictly from 0 to 1, and the limits
+    from the left and from the right there.  The curve is linear from
+    ``right[i]`` at ``qs[i]`` to ``left[i + 1]`` at ``qs[i + 1]`` and
+    takes the right limit at a jump.  The evaluation methods take one
     quantile or an array of them and answer in kind.
     """
 
     qs: np.ndarray
-    values: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
-        qs, vs = np.array(self.qs, dtype=float), np.array(self.values, dtype=float)
-        qs.flags.writeable = vs.flags.writeable = False
-        object.__setattr__(self, "qs", qs)
-        object.__setattr__(self, "values", vs)
-        if qs.ndim != 1 or qs.shape != vs.shape or len(qs) < 2:
-            raise ValueError("curve needs at least two vertices, as two 1-D arrays of one length")
+        qs, left, right = arrays = [np.array(a, dtype=float) for a in (self.qs, self.left, self.right)]
+        for name, a in zip(("qs", "left", "right"), arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if qs.ndim != 1 or not qs.shape == left.shape == right.shape or len(qs) < 2:
+            raise ValueError("curve needs at least two breakpoints, as three 1-D arrays of one length")
         if qs[0] != 0.0 or qs[-1] != 1.0:
             raise ValueError("curve must span q in [0, 1]")
-        if not (qs[1:] - qs[:-1]).min() >= 0.0:  # NaN fails too
-            raise ValueError("vertex q coordinates must be nondecreasing")
-        if not (qs[2:] > qs[:-2]).all():  # q rises over every two steps
-            raise ValueError("at most two vertices may share a q")
-        if not (vs.min() >= -1e-12 and vs.max() < np.inf):  # NaN fails both
+        if not (qs[1:] > qs[:-1]).all():  # NaN fails too
+            raise ValueError("breakpoint q coordinates must rise strictly")
+        if not all(a.min() >= -1e-12 and a.max() < np.inf for a in (left, right)):  # NaN fails both
             raise ValueError("curve values must be finite and nonnegative")
 
     @staticmethod
     def from_vertices(vertices) -> "PiecewiseLinearCurve":
-        """Curve through a sequence of (q, value) pairs."""
-        arr = np.array(vertices, dtype=float).reshape(-1, 2)
-        return PiecewiseLinearCurve(arr[:, 0], arr[:, 1])
+        """Curve through a sequence of (q, value) pairs with nondecreasing
+        q; two pairs at one q are a jump, first the left limit and then the
+        value at the point."""
+        q, v = np.array(vertices, dtype=float).reshape(-1, 2).T
+        if not (q[2:] > q[:-2]).all():  # q rises over every two steps
+            raise ValueError("at most two vertices may share a q")
+        new = q[1:] != q[:-1]
+        firsts, lasts = np.append(True, new), np.append(new, True)  # the left and right limit at each q
+        return PiecewiseLinearCurve(q[firsts], v[firsts], v[lasts])
 
     @property
     def vertices(self) -> tuple[tuple[float, float], ...]:
-        """The (q, value) pairs as floats, built on each access."""
-        return tuple(zip(self.qs.tolist(), self.values.tolist()))
+        """The (q, value) pairs as floats, built on each access: one per
+        breakpoint, two (left limit first) where the curve jumps."""
+        limits = zip(self.qs.tolist(), self.left.tolist(), self.right.tolist())
+        return tuple((q, v) for q, a, b in limits for v in ((a, b) if a != b else (b,)))
 
     def _limits(self, q):
-        """Left and right limits at q, as arrays: where vertices sit at q,
-        the first one's value from the left and the last one's from the
-        right, else the interpolation on the piece that holds q."""
+        """Left and right limits at q, as arrays: the breakpoint's where
+        one sits at q, else the interpolation on the piece that holds q."""
         q = np.asarray(q, dtype=float)
-        qs, vs = self.qs, self.values
-        lo = qs.searchsorted(q, side="left")  # first vertex at or above q
-        hi = qs.searchsorted(q, side="right") - 1  # last vertex at or below q
-        # no vertex lies at or below q < 0, nor at or above q > 1 (or NaN)
-        if not (hi.min(initial=0) >= 0 and lo.max(initial=0) < len(qs)):
+        if not (q.min(initial=0.0) >= 0.0 and q.max(initial=1.0) <= 1.0):  # NaN fails too
             raise ValueError(f"q={q} outside [0, 1]")
-        j = np.maximum(lo, 1)  # the piece from vertex j - 1 to j holds q where no vertex sits
-        k = j - 1
-        qk = qs[k]
-        dq = qs[j] - qk
-        t = (q - qk) / (dq + (dq == 0.0))  # dq is zero only where a vertex sits at q
-        inside = vs[k] + t * (vs[j] - vs[k])
-        at = lo <= hi  # a vertex sits at q
-        return np.where(at, vs[lo], inside), np.where(at, vs[hi], inside)
+        qs, left, right = self.qs, self.left, self.right
+        at = qs.searchsorted(q)  # first breakpoint at or above q
+        k = np.maximum(at, 1) - 1  # the piece from breakpoint k to k + 1 holds q where none sits
+        inside = right[k] + (q - qs[k]) / (qs[k + 1] - qs[k]) * (left[k + 1] - right[k])
+        on = qs[at] == q
+        return np.where(on, left[at], inside), np.where(on, right[at], inside)
 
     def evaluate(self, q):
         """Value at q; at a jump, the right limit."""
@@ -123,8 +123,8 @@ class PriceRuns:
 
     Run i prices the quantiles from ``edges[i]`` to ``edges[i + 1]`` at
     ``prices[i]``; ``edges`` rises from 0 to 1 and has one more entry
-    than ``prices``.  A run of zero width still names the price at
-    q = 0 when it comes first.
+    than ``prices``, which do not rise.  A run of zero width still names
+    the price at q = 0 when it comes first.
     """
 
     edges: np.ndarray
@@ -138,6 +138,8 @@ class PriceRuns:
             raise ValueError("price runs need one more edge than prices")
         if edges[0] != 0.0 or edges[-1] != 1.0 or (edges[1:] < edges[:-1]).any():
             raise ValueError("price runs must cover [0, 1] in order")
+        if (prices[1:] > prices[:-1]).any():
+            raise ValueError("run prices must be nonincreasing")
 
     @staticmethod
     def nonempty(edges: np.ndarray, prices: np.ndarray) -> "PriceRuns":
@@ -174,12 +176,11 @@ def _price_run_grid(runs: PriceRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def curve_from_price_runs(runs: PriceRuns) -> PiecewiseLinearCurve:
     """Build q * price(q) from contiguous constant-price runs on [0, 1].
 
-    Empty runs are dropped and runs with equal prices merged; each price
-    change at a boundary q becomes a jump pair (q, q*price_left),
-    (q, q*price_right).
+    Empty runs are dropped and runs with equal prices merged; at each
+    boundary q the curve's limits are q times the prices either side.
     """
     (qs,), left, right = _price_run_grid(runs)
-    return PiecewiseLinearCurve(np.repeat(qs, 2)[1:-1], np.stack((qs * left, qs * right), 1).reshape(-1)[1:-1])
+    return PiecewiseLinearCurve(qs, qs * left, qs * right)
 
 
 def price_left_of_runs(runs: PriceRuns, q):
@@ -267,26 +268,16 @@ def _prune_below_chords(qs: np.ndarray, vs: np.ndarray, tops=None) -> np.ndarray
     return np.sort(np.concatenate(settled))
 
 
-def _curve_grid(curve: PiecewiseLinearCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The curve's distinct quantiles, with its left and right limits there."""
-    qs, vs = curve.qs, curve.values
-    step = qs[1:] != qs[:-1]
-    firsts = np.flatnonzero(np.concatenate(([True], step)))  # first vertex at each distinct q
-    lasts = np.flatnonzero(np.concatenate((step, [True])))  # last vertex at each distinct q
-    return qs[firsts], vs[firsts], vs[lasts]
-
-
 def concave_envelope(curve: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
-    """Least concave majorant: the upper hull of the vertex set.
+    """Least concave majorant: the upper hull of the breakpoints.
 
-    Jump curves contribute the higher of their one-sided limits, so the
-    hull majorizes the curve everywhere, including at discontinuities;
-    the learner's chain picks it, so every hull vertex is a curve vertex.
+    Each breakpoint contributes the higher of its one-sided limits, so the
+    hull majorizes the curve everywhere, including at jumps; the
+    learner's chain picks it, so every hull vertex is a curve breakpoint.
     """
-    qs, left, right = _curve_grid(curve)
-    top = np.maximum(left, right)
+    qs, top = curve.qs, np.maximum(curve.left, curve.right)
     hull = _prune_below_chords(qs, top)
-    return PiecewiseLinearCurve(qs[hull], top[hull])
+    return PiecewiseLinearCurve(qs[hull], top[hull], top[hull])
 
 
 def _gap_ends(qs, left, right, hull, hv, tol: float, live=None) -> tuple[np.ndarray, np.ndarray]:
@@ -334,15 +325,14 @@ def _gap_ends(qs, left, right, hull, hv, tol: float, live=None) -> tuple[np.ndar
 def difference_intervals(curve: PiecewiseLinearCurve, hull: PiecewiseLinearCurve, tol: float) -> tuple:
     """Maximal open intervals, as sorted (a, b) pairs, where hull - curve
     exceeds tol; ``hull`` must be ``concave_envelope(curve)``, so that
-    its vertices sit on the curve's grid."""
-    qs, left, right = _curve_grid(curve)
-    starts, ends = _gap_ends(qs, left, right, qs.searchsorted(hull.qs), hull.values, tol)
-    return tuple(zip(qs[starts].tolist(), qs[ends].tolist()))
+    its vertices sit on the curve's breakpoints."""
+    starts, ends = _gap_ends(curve.qs, curve.left, curve.right, curve.qs.searchsorted(hull.qs), hull.right, tol)
+    return tuple(zip(curve.qs[starts].tolist(), curve.qs[ends].tolist()))
 
 
 def argmax_quantile(curve: PiecewiseLinearCurve) -> float:
-    """Smallest q whose vertex attains the maximum value."""
-    return float(curve.qs[np.argmax(curve.values)])
+    """Smallest breakpoint q where either limit attains the maximum."""
+    return float(curve.qs[np.argmax(np.maximum(curve.left, curve.right))])
 
 
 def induced_curve(runs: PriceRuns, plan: IroningPlan) -> PiecewiseLinearCurve:
@@ -357,17 +347,14 @@ def induced_curve(runs: PriceRuns, plan: IroningPlan) -> PiecewiseLinearCurve:
     interval [lo, hi) the chord from hi's point to lo's; the reserve r its
     point and then (1, r * q).  Of three or more vertices at one q only
     the first (the left limit) and the last (the value) enter any
-    integral, so only they are kept.  Runs whose prices rise are refused.
+    integral, so only they are kept; two equal ones are one breakpoint.
     """
     # the merged runs, lowest price first: vals[j] prices the run from tails[j + 1] to tails[j]
     vals, tails = [], []
     for p, q in zip(runs.prices[::-1].tolist(), runs.edges[:0:-1].tolist()):
-        if vals and p <= vals[-1]:
-            if p < vals[-1]:
-                raise ValueError("run prices must be nonincreasing")
-            continue
-        vals.append(p)
-        tails.append(q)
+        if not vals or p > vals[-1]:
+            vals.append(p)
+            tails.append(q)
     tails.append(0.0)
 
     def point(x: float) -> tuple[float, float]:

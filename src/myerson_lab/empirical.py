@@ -13,6 +13,7 @@ probability.  All of it is linear in the number of distinct values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,7 @@ def dkw_epsilon(m, delta: float):
     call on that element alone.
     """
     lo, hi = (m.min(), m.max()) if isinstance(m, np.ndarray) else (m, m)
-    if not (-math.inf < lo and hi < math.inf):  # NaN fails both
+    if not (-math.inf < lo and hi <= sys.float_info.max):  # NaN fails both, an int beyond a float the second
         raise ValueError("m must be finite")
     if lo < 1:
         raise ValueError("m must be >= 1")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -171,11 +172,8 @@ def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: floa
 
 def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     """Ironing plan read off a price-run curve q -> q * price(q) (see
-    ``_grid_plans``).  Runs whose prices rise are refused."""
-    qs, left, right = _price_run_grid(runs)
-    if (left[2:] > left[1:-1]).any():
-        raise ValueError("run prices must be nonincreasing")
-    return _grid_plans(qs, left, right, h_max)[0]
+    ``_grid_plans``)."""
+    return _grid_plans(*_price_run_grid(runs), h_max)[0]
 
 
 def _count_grids(values: np.ndarray, counts: np.ndarray, eps: np.ndarray) -> list:
@@ -237,9 +235,11 @@ def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
 
 
 def _check_n_h(n: int, h_max: float) -> None:
-    """Refuse fewer than one bidder, and a value bound that is not finite and nonnegative."""
+    """Refuse n below 1 or beyond a float, and a value bound that is not finite and nonnegative."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"n must be finite, got {n!r}")
     if not math.isfinite(h_max):
         raise ValueError(f"h_max must be finite, got {h_max}")
     if h_max < 0.0:
@@ -264,8 +264,10 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
         raise ValueError("need 0 < delta < eps_target < 1")
     _check_n_h(n, h_max)
     _check_gamma(gamma)
-    raw = (math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2
-    return math.ceil(raw)
+    try:
+        return math.ceil((math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2)
+    except OverflowError:  # from the square, or from the ceiling of inf
+        raise ValueError(f"the sample count overflows a float at n={n}, gamma={gamma}, h_max={h_max}") from None
 
 
 def loss_bound(m, delta: float, n: int, h_max: float):

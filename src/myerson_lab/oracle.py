@@ -175,25 +175,24 @@ def expected_revenue_quadrature(
     quantiles, so its interim allocation is the Bernstein sum
     y(q) = sum_r w_r C(n-1, r-1) q^(r-1) (1-q)^(n-r), with integral
     Y(x) = (1/n) sum_j C(n, j) x^j (1-x)^(n-j) (w_1 + ... + w_j).  Each
-    member earns the integral of R against -y', by parts on every linear
-    piece, plus R(1) y(1), where R is ``induced_curve`` of the law's price
-    runs under the plan: the one chord/plateau construction, whose
-    posted-price points make it exact for every plan over a discrete law.
-    y and Y are evaluated once at all of R's vertices.  A block of 1030+
-    members overflows a float and is refused; 4096 reports are cached.
+    member earns the integral of R against -y', by parts on every piece
+    from one breakpoint's right limit to the next one's left limit, plus
+    R(1) y(1), where R is ``induced_curve`` of the law's price runs under
+    the plan: the one chord/plateau construction, whose posted-price
+    points make it exact for every plan over a discrete law.  y and Y are
+    evaluated once at R's breakpoints.  A block of 1030+ members
+    overflows a float and is refused; 4096 reports are cached.
     """
     _refuse_exact(dist, env, "expected_revenue_quadrature", "quadrature")
     curve = induced_curve(dist.price_runs, plan)
-    qs, vs = curve.qs, curve.values
-    lo = np.flatnonzero(qs[1:] > qs[:-1])  # the nondegenerate pieces, from vertex lo to hi
-    hi = lo + 1
-    slope = (vs[hi] - vs[lo]) / (qs[hi] - qs[lo])
+    qs, start, end = curve.qs, curve.right[:-1], curve.left[1:]  # piece i runs from start[i] to end[i]
+    slope = (end - start) / (qs[1:] - qs[:-1])
     totals = []
     for members, weights in env.blocks:
         n, w = len(members), np.array(weights)
         y = _bernstein(qs, n - 1) @ w
         big_y = _bernstein(qs, n) @ np.concatenate(([0.0], np.cumsum(w))) / n
-        terms = np.append(vs[lo] * y[lo] - vs[hi] * y[hi] + slope * (big_y[hi] - big_y[lo]), vs[-1] * y[-1])
+        terms = np.append(start * y[:-1] - end * y[1:] + slope * (big_y[1:] - big_y[:-1]), curve.right[-1] * y[-1])
         totals.append(math.fsum((n * terms).tolist()))
     return RevenueReport(expected_revenue=math.fsum(totals), method="quadrature")
 

@@ -321,11 +321,12 @@ def plan_from_triples(runs, h_max: float):
 
     curve = PiecewiseLinearCurve.from_vertices(curve_vertices_from_triples(runs))
     hull = PiecewiseLinearCurve.from_vertices(hull_vertices(curve))
+    verts = curve.vertices
     best = 0
-    for i, v in enumerate(curve.values.tolist()):
-        if v > curve.values[best]:
+    for i, (_, v) in enumerate(verts):
+        if v > verts[best][1]:
             best = i
-    r_q = float(curve.qs[best])
+    r_q = verts[best][0]
     reserve = runs[0][2] if r_q == 0.0 else price_left_of_triples(runs, r_q)
     intervals = []
     for a, b in gap_intervals(curve, hull, 1e-9 * h_max):

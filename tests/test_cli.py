@@ -281,6 +281,15 @@ ARRAY = "[1, 2]"
          "--seed must be >= 0, got -1"),
         (ARRAY, ["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", str(2**31 + 1), "--seeds", "1"],
          f"T must be <= 2**31, so that every spawn key is one uint32 word; got {2**31 + 1}"),
+        (ARRAY, ["calc", "bound", "--m", str(10**400), "--delta", "0.1", "--n", "3", "--h-max", "10"], "m must be finite"),
+        (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", str(10**400), "--h-max", "10"],
+         f"n must be finite, got {10**400}"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", str(10**400), "--h-max", "10"],
+         f"n must be finite, got {10**400}"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "3", "--gamma", "1e300", "--h-max", "10"],
+         "the sample count overflows a float at n=3, gamma=1e+300, h_max=10.0"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "3", "--h-max", "1e308"],
+         "the sample count overflows a float at n=3, gamma=1.0, h_max=1e+308"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
@@ -292,7 +301,8 @@ ARRAY = "[1, 2]"
         "samples_h_max_inf", "bound_h_max_nan", "bound_n_negative", "bound_h_max_negative",
         "samples_h_max_negative", "learn_h_max_inf", "learn_sample_above_h_max", "learn_no_samples",
         "run_negative_seed", "eval_negative_seed", "loss_negative_seed", "regret_negative_seed",
-        "regret_T_beyond_one_word_spawn_keys",
+        "regret_T_beyond_one_word_spawn_keys", "bound_m_beyond_float", "bound_n_beyond_float",
+        "samples_n_beyond_float", "samples_gamma_count_overflows", "samples_h_max_count_infinite",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

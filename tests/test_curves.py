@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myerson_lab.curves import (
@@ -37,7 +37,7 @@ EX2_RUNS = runs_from_tuples([(0.0, 0.1, 5.0), (0.1, 1.0, 1.0)])
 
 def _tol(hull):
     """The gap tolerance relative to a hull's height."""
-    scale = float(hull.values.max())
+    scale = float(hull.right.max())
     return 1e-9 * (scale if scale > 0.0 else 1.0)
 
 
@@ -109,6 +109,69 @@ def test_evaluate_many_matches_scalar():
     want = [scalar_evaluate(EX2_CURVE, float(q)) for q in qs]
     assert got.tolist() == want
     assert EX2_CURVE.left_value(qs).tolist() == [scalar_left_value(EX2_CURVE, float(q)) for q in qs]
+
+
+@st.composite
+def vertex_lists(draw):
+    """(q, value) lists spanning [0, 1]: at each breakpoint, including
+    q = 0 and q = 1, one vertex, a jump, or a pair of equal vertices."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8, unique=True))
+    value = st.floats(0.0, 10.0)
+    verts = []
+    for q in [0.0, *sorted(inner), 1.0]:
+        v = draw(value)
+        kind = draw(st.sampled_from(["vertex", "jump", "pair"]))
+        verts += [(q, v)] if kind == "vertex" else [(q, v), (q, v if kind == "pair" else draw(value))]
+    return verts
+
+
+JUMPS_AT_BOTH_ENDS_AND_A_PAIR = [(0.0, 0.0), (0.0, 2.0), (0.5, 1.0), (0.5, 1.0), (1.0, 3.0), (1.0, 0.5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_lists(), st.lists(st.floats(0.0, 1.0), max_size=8))
+@example(JUMPS_AT_BOTH_ENDS_AND_A_PAIR, [0.25, 0.75])
+def test_evaluation_is_the_scalar_walk_of_the_vertex_list(verts, probes):
+    curve = PiecewiseLinearCurve.from_vertices(verts)
+    walk = (verts, [q for q, _ in verts])  # the reference bisects the input list itself
+    qs = curve.qs.tolist()
+    at = qs + [0.5 * (a + b) for a, b in zip(qs, qs[1:])] + probes
+    assert curve.evaluate(np.array(at)).tolist() == [scalar_evaluate(curve, q, walk) for q in at]
+    assert curve.left_value(np.array(at)).tolist() == [scalar_left_value(curve, q, walk) for q in at]
+    assert [curve.evaluate(q) for q in at] == [scalar_evaluate(curve, q, walk) for q in at]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_lists())
+@example(JUMPS_AT_BOTH_ENDS_AND_A_PAIR)
+def test_vertices_round_trip_and_list_a_jump_as_two(verts):
+    curve = PiecewiseLinearCurve.from_vertices(verts)
+    again = PiecewiseLinearCurve.from_vertices(curve.vertices)
+    for field in ("qs", "left", "right"):
+        assert getattr(again, field).tolist() == getattr(curve, field).tolist()
+    assert len(curve.vertices) == len(curve.qs) + np.count_nonzero(curve.left != curve.right)
+
+
+@pytest.mark.parametrize(
+    "qs, left, right",
+    [
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 1.0], [0.0, 1.0, 2.0, 1.0]),  # a q repeats
+        ([0.0, 0.6, 0.4, 1.0], [0.0] * 4, [0.0] * 4),  # q falls
+        ([0.0, 0.5, 1.0], [0.0, 1.0], [0.0, 1.0, 1.0]),  # lengths differ
+        ([0.0, math.nan, 1.0], [0.0] * 3, [0.0] * 3),
+        ([0.0, 0.5, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, math.nan]),
+        ([0.0, 0.5, 1.0], [0.0, -1.0, 1.0], [0.0, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [-1e-6, 1.0, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, math.inf]),
+        ([0.1, 0.5, 1.0], [0.0] * 3, [0.0] * 3),  # starts above 0
+        ([0.0, 0.5, 0.9], [0.0] * 3, [0.0] * 3),  # ends below 1
+        ([0.0], [0.0], [0.0]),
+    ],
+)
+def test_curve_refuses_malformed_breakpoints(qs, left, right):
+    with pytest.raises(ValueError):
+        PiecewiseLinearCurve(qs, left, right)
 
 
 def test_vertex_validation():
@@ -189,7 +252,7 @@ def test_hull_equals_curve_outside_difference_intervals():
         curve = curve_from_price_runs(runs_from_tuples(runs))
         hull = concave_envelope(curve)
         gaps = difference_intervals(curve, hull, _tol(hull))
-        jumps = {qv for qv in curve.qs.tolist() if curve.qs.tolist().count(qv) == 2}
+        jumps = set(curve.qs[curve.left != curve.right].tolist())
         for q_test in np.linspace(0.001, 0.999, 229):
             inside = any(a <= q_test <= b for a, b in gaps)
             near_jump = any(abs(q_test - j) < 1e-9 for j in jumps)
@@ -307,13 +370,12 @@ def test_induced_curve_prices_a_zero_mass_atom_at_its_point():
 
 
 def test_induced_curve_refuses_rising_prices():
-    rising = runs_from_tuples([(0.0, 0.5, 1.0), (0.5, 1.0, 2.0)])
-    with pytest.raises(ValueError):
-        induced_curve(rising, IroningPlan.empty())
-    with pytest.raises(ValueError):
-        optimal_induced(rising, 2.0)
-    with pytest.raises(ValueError):
-        plan_from_price_runs(rising, 2.0)
+    # runs whose prices rise are refused when they are built, before
+    # induced_curve, optimal_induced or plan_from_price_runs can see them
+    with pytest.raises(ValueError, match="nonincreasing"):
+        runs_from_tuples([(0.0, 0.5, 1.0), (0.5, 1.0, 2.0)])
+    with pytest.raises(ValueError, match="nonincreasing"):  # an empty run rises too
+        runs_from_tuples([(0.0, 0.5, 2.0), (0.5, 0.5, 3.0), (0.5, 1.0, 1.0)])
 
 
 def test_pointwise_gap_basic():
