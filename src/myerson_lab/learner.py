@@ -126,10 +126,10 @@ def _plan(left: np.ndarray, top, starts: np.ndarray, stops: np.ndarray) -> Ironi
     return IroningPlan.canonical([(lo, hi) for lo, hi in intervals if lo < hi], left[top])
 
 
-def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: float) -> list[IroningPlan]:
-    """Ironing plans read off the curves q * price(q) on the rows of a
-    grid ``qs``, whose prices just below and above each point, ``left``
-    and ``right``, the rows share and do not rise.
+def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: float) -> tuple[list, np.ndarray]:
+    """The distinct ironing plans read off the curves q * price(q) on the
+    rows of a grid ``qs``, whose prices just below and above each point,
+    ``left`` and ``right``, the rows share and do not rise.
 
     So a curve's upper limit at each grid point is the quantile times the
     price just below it, and the first maximum of those is the reserve
@@ -141,7 +141,8 @@ def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: floa
     found in shared pruning passes over all rows (``_prune_below_chords``),
     and one scan finds the gaps of all rows laid end to end.
     A row's plan is fixed by which grid points hold q* and open and close
-    gaps, so each distinct row of such marks is built once.
+    gaps, so each distinct row of such marks is built once, and each row
+    is given the index of its plan.
     """
     upper = qs * left
     k = upper.argmax(axis=1)  # each row's reserve quantile's grid position
@@ -157,23 +158,20 @@ def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: floa
         lined_q, lined_u, lined_right = iq.ravel()[:end], iu.ravel()[:end], (iq * right).ravel()[:end]
         starts, stops = _gap_ends(lined_q, lined_u, lined_right, hull, lined_u[hull], 1e-9 * h_max, live)
     if len(qs) == 1:  # a lone row's plan needs no marks
-        return [_plan(left, k[0], starts, stops)]
+        return [_plan(left, k[0], starts, stops)], np.zeros(1, dtype=np.intp)
     marks = np.zeros(qs.shape, dtype=np.uint8)
     marks[np.arange(len(qs)), k] = _RESERVE
     for mark, at in ((_START, starts), (_STOP, stops)):
         marks[ironed[at // g], at % g] |= mark
-    keys = marks.view(np.dtype((np.void, g))).ravel().tolist()
-    plans = {}
-    for key in dict.fromkeys(keys):
-        row = np.frombuffer(key, dtype=np.uint8)
-        plans[key] = _plan(left, (row & _RESERVE).argmax(), (row & _START).nonzero()[0], (row & _STOP).nonzero()[0])
-    return [plans[key] for key in keys]
+    rows, ids = np.unique(marks, axis=0, return_inverse=True)
+    plans = [_plan(left, (r & _RESERVE).argmax(), (r & _START).nonzero()[0], (r & _STOP).nonzero()[0]) for r in rows]
+    return plans, ids
 
 
 def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     """Ironing plan read off a price-run curve q -> q * price(q) (see
     ``_grid_plans``)."""
-    return _grid_plans(*_price_run_grid(runs), h_max)[0]
+    return _grid_plans(*_price_run_grid(runs), h_max)[0][0]
 
 
 def _count_grids(values: np.ndarray, counts: np.ndarray, eps: np.ndarray) -> list:
@@ -202,15 +200,16 @@ def _count_grids(values: np.ndarray, counts: np.ndarray, eps: np.ndarray) -> lis
     return grids
 
 
-def _count_plans(values: np.ndarray, counts: np.ndarray, eps: np.ndarray, h_max: float) -> list[IroningPlan]:
-    """The plan ``compute_auction`` learns from each row of ``counts`` (see
-    ``_count_grids``) at its radius; a radius of 1 or more gives the empty
-    plan.  The run edges are freed before the hulls are found."""
-    plans: list = [None] * len(counts)
+def _count_plans(values: np.ndarray, counts: np.ndarray, eps: np.ndarray, h_max: float) -> tuple[list, np.ndarray]:
+    """The plans ``compute_auction`` learns from the rows of ``counts``
+    (see ``_count_grids``) at their radii, each built once, and each row's
+    index among them; a radius of 1 or more gives the empty plan."""
+    plans, ids = [], np.zeros(len(counts), dtype=np.intp)
     for rows, grid in _count_grids(values, counts, eps):
-        for i, plan in zip(rows.tolist(), _grid_plans(*grid, h_max)):
-            plans[i] = plan
-    return plans
+        group, group_ids = _grid_plans(*grid, h_max)
+        ids[rows] = len(plans) + group_ids
+        plans += group
+    return plans, ids
 
 
 def optimal_induced(runs: PriceRuns, h_max: float) -> PiecewiseLinearCurve:
@@ -231,7 +230,7 @@ def compute_auction(samples, delta: float, h_max: float) -> IroningPlan:
     if not math.isfinite(h_max):
         raise ValueError(f"h_max must be finite, got {h_max}")
     eq = EmpiricalQuantile.from_samples(samples, h_max)
-    return _count_plans(eq.values, eq.counts[None], np.array([dkw_epsilon(eq.m, delta)]), h_max)[0]
+    return _count_plans(eq.values, eq.counts[None], np.array([dkw_epsilon(eq.m, delta)]), h_max)[0][0]
 
 
 def _check_n_h(n: int, h_max: float) -> None:
@@ -266,7 +265,7 @@ def required_samples_iid(eps_target: float, delta: float, n: int, gamma: float, 
     _check_gamma(gamma)
     try:
         return math.ceil((math.log(2.0 / delta) / 2.0) * (3.0 * n * gamma * h_max / (eps_target - delta)) ** 2)
-    except OverflowError:  # from the square, or from the ceiling of inf
+    except (OverflowError, ValueError):  # from the square, or from the ceiling of inf or of inf * 0
         raise ValueError(f"the sample count overflows a float at n={n}, gamma={gamma}, h_max={h_max}") from None
 
 
@@ -274,6 +273,10 @@ def loss_bound(m, delta: float, n: int, h_max: float):
     """High-probability additive revenue-loss bound 3 * epsilon * n * H for
     m samples, or for each of an integer array of m: the one place it is
     computed, in this float order, so each element of the array form is
-    ``==`` the call on that element alone."""
+    ``==`` the call on that element alone.  A bound beyond a float is refused."""
     _check_n_h(n, h_max)
-    return 3.0 * dkw_epsilon(m, delta) * n * h_max
+    with np.errstate(over="ignore"):
+        bound = 3.0 * dkw_epsilon(m, delta) * n * h_max
+    if not np.isfinite(bound).all():
+        raise ValueError(f"the loss bound overflows a float at n={n}, h_max={h_max}")
+    return bound

@@ -550,4 +550,4 @@ def run_no_regret_concatenating(dist, env, T: int, delta: float, seed):
         epsilon_t = dkw_epsilon(n * t, delta / T)
         rows.append(record(t, n * t, epsilon_t, plan, rows[-1].cumulative_loss, 3.0 * epsilon_t * n * h))
         samples_so_far = np.concatenate([samples_so_far, sample(dist, n, bid_seeds[t])])
-    return RegretTrace(rows=tuple(rows))
+    return RegretTrace(*zip(*rows))

@@ -290,6 +290,10 @@ ARRAY = "[1, 2]"
          "the sample count overflows a float at n=3, gamma=1e+300, h_max=10.0"),
         (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", "3", "--h-max", "1e308"],
          "the sample count overflows a float at n=3, gamma=1.0, h_max=1e+308"),
+        (ARRAY, ["calc", "samples", "--eps", "0.5", "--delta", "0.1", "--n", str(10**300), "--gamma", "1e300",
+                 "--h-max", "0"], f"the sample count overflows a float at n={10**300}, gamma=1e+300, h_max=0.0"),
+        (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", str(10**308), "--h-max", "10"],
+         f"the loss bound overflows a float at n={10**308}, h_max=10.0"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
@@ -303,6 +307,7 @@ ARRAY = "[1, 2]"
         "run_negative_seed", "eval_negative_seed", "loss_negative_seed", "regret_negative_seed",
         "regret_T_beyond_one_word_spawn_keys", "bound_m_beyond_float", "bound_n_beyond_float",
         "samples_n_beyond_float", "samples_gamma_count_overflows", "samples_h_max_count_infinite",
+        "samples_infinite_times_zero_h_max", "bound_beyond_float",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):

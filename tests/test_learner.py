@@ -171,9 +171,9 @@ def _learns_as_compute_auction(values, counts, deltas, h_max: float) -> list:
     ``compute_auction`` on the row's samples; the radii used."""
     values = np.asarray(values, dtype=float)
     epsilons = [dkw_epsilon(int(c.sum()), d) for c, d in zip(counts, deltas)]
-    plans = _count_plans(values, counts, np.array(epsilons), h_max)
-    assert len(plans) == len(counts)
-    for row, delta, plan in zip(counts, deltas, plans):
+    plans, ids = _count_plans(values, counts, np.array(epsilons), h_max)
+    assert len(ids) == len(counts)
+    for row, delta, plan in zip(counts, deltas, (plans[i] for i in ids)):
         assert plan == compute_auction(values.repeat(row), delta, h_max), (row.tolist(), delta)
     return epsilons
 
@@ -213,6 +213,7 @@ def test_count_rows_of_random_laws_learn_what_compute_auction_learns():
 
 def test_count_rows_without_confidence_learn_the_empty_plan():
     epsilons = np.array([1.0, 4.5, dkw_epsilon(3, 0.5)])
-    plans = _count_plans(np.array([0.0, 2.0, 5.0]), np.array([[0, 3, 1], [2, 0, 0], [1, 1, 1]]), epsilons, 5.0)
+    plans, ids = _count_plans(np.array([0.0, 2.0, 5.0]), np.array([[0, 3, 1], [2, 0, 0], [1, 1, 1]]), epsilons, 5.0)
+    plans = [plans[i] for i in ids]
     assert plans[:2] == [IroningPlan.empty()] * 2
     assert plans[2] == compute_auction([0.0, 2.0, 5.0], 0.5, 5.0) != IroningPlan.empty()

@@ -1,4 +1,7 @@
 import math
+import pickle
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ import pytest
 from myerson_lab.distributions import ValueDistribution
 from myerson_lab.empirical import dkw_epsilon
 from myerson_lab.environments import Environment
-from myerson_lab.learner import loss_bound, required_samples_iid
+from myerson_lab.learner import IroningPlan, loss_bound, required_samples_iid
 from myerson_lab import online
-from myerson_lab.online import regret_bound, run_no_regret
+from myerson_lab.online import TRACE_FIELDS, RegretTrace, regret_bound, run_no_regret
 from reference import run_no_regret_concatenating
 
 LAW8 = ValueDistribution.discrete(
@@ -82,6 +85,62 @@ def test_trace_bookkeeping(bimodal_small, T):
             assert row.bound_t == loss_bound(3 * t, delta / T, 3, 5.0) == 3.0 * row.epsilon_t * 3 * 5.0
 
 
+def test_a_trace_is_its_columns_of_python_scalars():
+    dist, env, T = INCREMENTAL_CASES["law8-single2-blocks"]
+    trace = run_no_regret(dist, env, T=T, delta=0.1, seed=3)
+    assert RegretTrace(*zip(*trace.rows)) == trace
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    assert hash(pickle.loads(pickle.dumps(trace))) == hash(trace)
+    for name in TRACE_FIELDS:
+        column = getattr(trace, name)
+        assert len(column) == T + 1
+        assert {type(x) for x in column} <= {int, float, str}, name
+    assert trace.rows[-1] == tuple(getattr(trace, name)[-1] for name in TRACE_FIELDS)
+
+
+def test_each_learned_plan_is_priced_once(monkeypatch):
+    count_plans, quadrature = online._count_plans, online.expected_revenue_quadrature
+    built, priced = [], []  # the distinct plans of each learner block; the plans priced, in order
+
+    def counting(*args):
+        plans, ids = count_plans(*args)
+        built.append(plans)
+        return plans, ids
+
+    def pricing(dist, env, plan):
+        priced.append(plan)
+        return quadrature(dist, env, plan)
+
+    monkeypatch.setattr(online, "_count_plans", counting)
+    monkeypatch.setattr(online, "expected_revenue_quadrature", pricing)
+    dist, env, T = INCREMENTAL_CASES["two-intervals-single3-blocks"]
+    run_no_regret(dist, env, T=T, delta=0.1, seed=0)
+    assert len(built) >= 3
+    assert priced == [online.optimal_plan(dist), IroningPlan.empty(), *chain(*built)]
+    assert len(priced) < T / 10
+
+
+def test_a_learned_plan_that_beats_the_optimum_trips_the_trace(monkeypatch):
+    # the over-ironing law's learned plans iron one interval at most, so none is its optimal plan
+    dist, env, T = INCREMENTAL_CASES["over-ironing-single3-blocks"]
+    quadrature = online.expected_revenue_quadrature
+    honest = (online.optimal_plan(dist), IroningPlan.empty())
+    opt = quadrature(dist, env, honest[0]).expected_revenue
+    excess = [1e-10]
+
+    def inflated(dist, env, plan):
+        return quadrature(dist, env, plan) if plan in honest else SimpleNamespace(expected_revenue=opt + excess[0])
+
+    monkeypatch.setattr(online, "expected_revenue_quadrature", inflated)
+    # within the tolerance, a learned plan is charged no loss
+    trace = run_no_regret(dist, env, T=T, delta=0.1, seed=0)
+    learned = [row.round_loss for row in trace.rows if row.expected_round_revenue == opt + excess[0]]
+    assert learned and set(learned) == {0.0}
+    excess[0] = 1e-6
+    with pytest.raises(RuntimeError, match="beats the oracle optimum"):
+        run_no_regret(dist, env, T=T, delta=0.1, seed=0)
+
+
 def test_deterministic_given_seed(bimodal_small):
     env = Environment.single_item(3)
     a = run_no_regret(bimodal_small, env, T=200, delta=0.1, seed=3)
@@ -121,7 +180,7 @@ def test_cumulative_loss_within_regret_bound(bimodal_small):
     hits = 0
     for seed in range(10):
         trace = run_no_regret(bimodal_small, env, T=T, delta=delta, seed=seed)
-        hits += trace.cumulative_loss() <= regret_bound(T, delta, 3, 5.0)
+        hits += trace.cumulative_loss[-1] <= regret_bound(T, delta, 3, 5.0)
     assert hits >= 9
 
 
@@ -182,6 +241,13 @@ def test_rejects_bad_inputs(bimodal_small):
     for m in (math.nan, math.inf, np.array([3, 0])):
         with pytest.raises(ValueError, match="m must be"):
             loss_bound(m, 0.1, 3, 10.0)
+    # a bound beyond a float is refused in both forms, and so is a trace whose rounds it bounds
+    for m in (1, np.array([1, 2])):
+        with pytest.raises(ValueError, match=f"the loss bound overflows a float at n={10**308}, h_max=10.0"):
+            loss_bound(m, 0.1, 10**308, 10.0)
+    huge = ValueDistribution.discrete([(1.0, 0.5), (1e308, 0.5)], h_max=1e308)
+    with pytest.raises(ValueError, match="the loss bound overflows a float at n=3, h_max=1e"):
+        run_no_regret(huge, env, T=5, delta=0.1, seed=0)
     # regret_bound checks n and H as loss_bound does
     for n, h, message in ((0, 1.0, "n must be >= 1"), (-1, 1.0, "n must be >= 1"),
                           (3, math.nan, "h_max must be finite"), (3, -1.0, "h_max must be >= 0")):
@@ -222,9 +288,9 @@ def test_a_trace_case_learns_plans_of_two_intervals_over_several_blocks(monkeypa
     intervals = []  # per learner block, the most intervals of any plan it learned
 
     def counting(*args):
-        plans = count_plans(*args)
+        plans, ids = count_plans(*args)
         intervals.append(max(len(p.intervals) for p in plans))
-        return plans
+        return plans, ids
 
     monkeypatch.setattr(online, "_count_plans", counting)
     dist, env, T = INCREMENTAL_CASES["two-intervals-single3-blocks"]
