@@ -46,7 +46,10 @@ EXAMPLES_IRONING_HEADER = "n,h,revenue_ironed,revenue_second_price"
 def _workers() -> int:
     env = os.environ.get("MYERSON_LAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"MYERSON_LAB_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

@@ -338,24 +338,21 @@ def argmax_quantile(curve: PiecewiseLinearCurve) -> float:
 def induced_curve(runs: PriceRuns, plan: IroningPlan) -> PiecewiseLinearCurve:
     """The revenue curve of ``runs`` as the auction of ``plan`` induces it.
 
-    Adjacent runs of one price are merged first; an empty run is kept,
-    since it still names its point.  A bid's rank key changes only at the
-    reserve, at interval endpoints and at unironed prices at or above the
-    reserve; each such price x sits at its posted-price point (q, x * q),
-    where q is the right edge of the last run priced at least x.  Walking
-    down in price from (0, 0): an unironed price adds its exact run; an
-    interval [lo, hi) the chord from hi's point to lo's; the reserve r its
-    point and then (1, r * q).  Of three or more vertices at one q only
-    the first (the left limit) and the last (the value) enter any
-    integral, so only they are kept; two equal ones are one breakpoint.
+    A bid's rank key changes only at the reserve, at interval endpoints
+    and at unironed prices at or above the reserve; each such price x
+    sits at its posted-price point (q, x * q), where q is the right edge
+    of the last run priced at least x.  Walking down in price from
+    (0, 0): an unironed price adds its exact run; an interval [lo, hi)
+    the chord from hi's point to lo's; the reserve r its point and then
+    (1, r * q).  Of three or more vertices at one q only the first (the
+    left limit) and the last (the value) enter any integral, so only they
+    are kept; two equal ones are one breakpoint.  So the runs are read off
+    their grid, which drops empty runs: an empty run's two points would
+    lie between the first and last vertex at its q.
     """
     # the merged runs, lowest price first: vals[j] prices the run from tails[j + 1] to tails[j]
-    vals, tails = [], []
-    for p, q in zip(runs.prices[::-1].tolist(), runs.edges[:0:-1].tolist()):
-        if not vals or p > vals[-1]:
-            vals.append(p)
-            tails.append(q)
-    tails.append(0.0)
+    (qs,), _, right = _price_run_grid(runs)
+    vals, tails = right[-2::-1].tolist(), qs[::-1].tolist()
 
     def point(x: float) -> tuple[float, float]:
         t = tails[bisect_left(vals, x)]

@@ -41,6 +41,15 @@ __all__ = [
 ]
 
 
+def _refuse_malformed(intervals, reserve: float) -> None:
+    """Refuse a reserve below 0 or not finite, and an interval without 0 <= lo < hi < inf."""
+    if reserve < 0.0 or not math.isfinite(reserve):
+        raise ValueError("reserve must be finite and nonnegative")
+    for lo, hi in intervals:
+        if not (0.0 <= lo < hi) or not math.isfinite(hi):
+            raise ValueError(f"bad value interval [{lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class IroningPlan:
     """Disjoint half-open value intervals [lo, hi) plus a reserve price.
@@ -55,12 +64,9 @@ class IroningPlan:
     reserve: float
 
     def __post_init__(self):
-        if self.reserve < 0.0 or not math.isfinite(self.reserve):
-            raise ValueError("reserve must be finite and nonnegative")
+        _refuse_malformed(self.intervals, self.reserve)
         prev_hi = -math.inf
         for lo, hi in self.intervals:
-            if not (0.0 <= lo < hi) or not math.isfinite(hi):
-                raise ValueError(f"bad value interval [{lo}, {hi})")
             if lo < prev_hi:
                 raise ValueError("intervals must be sorted and disjoint")
             if hi <= self.reserve:
@@ -98,10 +104,10 @@ class IroningPlan:
         if not isinstance(spec, dict):
             raise ValueError("plan JSON must be an object")
         intervals = _json_list(spec.get("intervals", []), "intervals", _json_object)
-        return IroningPlan.canonical(
-            [(_json_number(iv["lo"], "lo"), _json_number(iv["hi"], "hi")) for iv in intervals],
-            _json_number(spec["reserve"], "reserve"),
-        )
+        pairs = [(_json_number(iv["lo"], "lo"), _json_number(iv["hi"], "hi")) for iv in intervals]
+        reserve = _json_number(spec["reserve"], "reserve")
+        _refuse_malformed(pairs, reserve)  # before canonical clips them
+        return IroningPlan.canonical(pairs, reserve)
 
     @cached_property
     def starts(self) -> tuple[float, ...]:
@@ -124,6 +130,18 @@ def _plan(left: np.ndarray, top, starts: np.ndarray, stops: np.ndarray) -> Ironi
     """The plan with q* at grid position ``top`` and gaps from each start to each stop."""
     intervals = zip(left[stops].tolist(), left[starts].tolist())
     return IroningPlan.canonical([(lo, hi) for lo, hi in intervals if lo < hi], left[top])
+
+
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group of equal rows, numbered in sorted row order, and
+    the first row of each group: one lexicographic sort (any column order
+    brings equal rows together) and a row diff; the learner and Monte
+    Carlo group rows by it alone."""
+    order = np.lexsort(rows.T)
+    new = np.append(True, np.any(rows[order[1:]] != rows[order[:-1]], axis=1))
+    groups = np.empty_like(order)
+    groups[order] = np.cumsum(new) - 1
+    return groups, order[new]
 
 
 def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: float) -> tuple[list, np.ndarray]:
@@ -163,7 +181,8 @@ def _grid_plans(qs: np.ndarray, left: np.ndarray, right: np.ndarray, h_max: floa
     marks[np.arange(len(qs)), k] = _RESERVE
     for mark, at in ((_START, starts), (_STOP, stops)):
         marks[ironed[at // g], at % g] |= mark
-    rows, ids = np.unique(marks, axis=0, return_inverse=True)
+    ids, firsts = _row_groups(marks)
+    rows = marks[firsts]
     plans = [_plan(left, (r & _RESERVE).argmax(), (r & _START).nonzero()[0], (r & _STOP).nonzero()[0]) for r in rows]
     return plans, ids
 
@@ -174,38 +193,25 @@ def plan_from_price_runs(runs: PriceRuns, h_max: float) -> IroningPlan:
     return _grid_plans(*_price_run_grid(runs), h_max)[0][0]
 
 
-def _count_grids(values: np.ndarray, counts: np.ndarray, eps: np.ndarray) -> list:
-    """The grids of the pessimistic curves of rows of ``counts``, the
-    samples at each of the ascending ``values`` (a row may lack some, not
-    all), each at its radius in ``eps``: (rows, grid) for each group of
-    rows whose runs are nonempty alike, so that they share one grid shape.
-
-    A row's runs are those of ``min_price_runs``, plus an empty run for
-    each value it lacks and a price-0 run from 1 - epsilon to 1, which is
-    all that a radius of 1 or more leaves.
-    """
-    r = len(counts)
+def _count_plans(values: np.ndarray, counts: np.ndarray, eps: np.ndarray, h_max: float) -> tuple[list, np.ndarray]:
+    """The plans ``compute_auction`` learns from the rows of ``counts``,
+    the samples at each of the ascending ``values`` (a row may lack some,
+    not all), at their radii ``eps``, each built once, and each row's
+    index among them.  A row's runs are those of ``min_price_runs``, an
+    empty run for each value it lacks and a price-0 run from 1 - epsilon
+    to 1, all that a radius of 1 or more leaves (the empty plan).  Rows
+    whose runs are nonempty alike share a grid, learned in one call."""
     edges = _min_edges(counts, eps)
     prices = np.concatenate((values[::-1], [0.0]))
     nonempty = edges[:, 1:] > edges[:, :-1]
     groups = [np.zeros(1, dtype=np.intp)]
-    if r > 1:  # an integer key per row of the nonempty-run mask
-        packed = np.packbits(nonempty, axis=1)
-        key = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_inverse=True)[1]
-        groups = [(key == group).nonzero()[0] for group in range(key.max() + 1)]
-    grids = []
+    if len(counts) > 1:
+        key, firsts = _row_groups(nonempty)
+        groups = [(key == group).nonzero()[0] for group in range(len(firsts))]
+    plans, ids = [], np.zeros(len(counts), dtype=np.intp)
     for rows in groups:
         keep = nonempty[rows[0]]
-        grids.append((rows, _run_grid(edges[rows] if len(rows) < r else edges, keep, prices, prices[keep][0])))
-    return grids
-
-
-def _count_plans(values: np.ndarray, counts: np.ndarray, eps: np.ndarray, h_max: float) -> tuple[list, np.ndarray]:
-    """The plans ``compute_auction`` learns from the rows of ``counts``
-    (see ``_count_grids``) at their radii, each built once, and each row's
-    index among them; a radius of 1 or more gives the empty plan."""
-    plans, ids = [], np.zeros(len(counts), dtype=np.intp)
-    for rows, grid in _count_grids(values, counts, eps):
+        grid = _run_grid(edges[rows] if len(rows) < len(counts) else edges, keep, prices, prices[keep][0])
         group, group_ids = _grid_plans(*grid, h_max)
         ids[rows] = len(plans) + group_ids
         plans += group

@@ -15,7 +15,8 @@ plan (not the noisy realized revenue of its bids), read off by that
 index from the quadrature revenues of the block's distinct plans.  Each
 round's ``bound_t`` is ``loss_bound`` of the n*t bids it learned from
 at confidence delta/T, so it is 3 * epsilon_t * n * H of its own row to
-the bit; round 0's is n * H.  A trace is its columns, ``TRACE_FIELDS``.
+the bit; round 0's is n * H, refused beyond a float.  A trace is its
+columns, ``TRACE_FIELDS``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def run_no_regret(
     opt_rev = expected_revenue_quadrature(dist, env, optimal_plan(dist)).expected_revenue
     ms = n * np.arange(1, T + 1)
     epsilons, bounds = dkw_epsilon(ms, delta / T), loss_bound(ms, delta / T, n, h)
+    if not math.isfinite(n * h):  # round 0's bound_t
+        raise ValueError(f"the loss bound overflows a float at n={n}, h_max={h}")
     plans, ids = [IroningPlan.empty()], [np.zeros(1, dtype=np.intp)]  # each block's distinct plans, rounds' ids
     seen = np.zeros(s, dtype=np.int64)  # bids of the rounds before the block, per atom
     block = max(1, _BLOCK_CELLS // s)

@@ -35,7 +35,7 @@ from .distributions import ValueDistribution, sample
 # interim_payments is unused here but stays bound: perfbench's traced pass patches it by name
 from .engine import _block_payments, interim_payments  # noqa: F401
 from .environments import Environment
-from .learner import IroningPlan, plan_from_price_runs
+from .learner import IroningPlan, _row_groups, plan_from_price_runs
 
 __all__ = [
     "GuardError",
@@ -197,17 +197,6 @@ def expected_revenue_quadrature(
     return RevenueReport(expected_revenue=math.fsum(totals), method="quadrature")
 
 
-def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's group of equal rows, numbered in sorted row order, and
-    the first row of each group: one lexicographic sort (any column order
-    brings equal rows together) and a row diff."""
-    order = np.lexsort(rows.T)
-    new = np.append(True, np.any(rows[order[1:]] != rows[order[:-1]], axis=1))
-    groups = np.empty_like(order)
-    groups[order] = np.cumsum(new) - 1
-    return groups, order[new]
-
-
 def expected_revenue_mc(
     dist: ValueDistribution, env: Environment, plan: IroningPlan, trials: int, seed
 ) -> RevenueReport:
@@ -253,29 +242,26 @@ def virtual_welfare_bound(dist: ValueDistribution, env: Environment) -> float:
     optimal plan earns exactly this (Elkind, SODA 2007).
 
     An atom's ironed virtual value is the slope of the concave hull of
-    the law's revenue curve, built from its price runs, over the atom's
-    quantile run, clipped at 0.  Each block serves its members' virtual
-    values in sorted order, the r-th highest weighted by the r-th slot.
-    The slopes fall as the quantile grows, so the r-th highest value is
-    at least a run's slope exactly when r or more members draw quantiles
-    at most the run's end q.  Summed over the slots, that is the chance
-    that exactly c members do, times the weight w_1 + ... + w_c of the
-    first c slots, over c: sum_c C(n, c) q^c (1-q)^(n-c) (w_1 + ... + w_c),
+    the law's revenue curve over its quantile run (read on the runs of
+    the curve's grid, which drops zero-mass atoms' empty runs), clipped
+    at 0.  Each block serves its members' virtual values in sorted order,
+    the r-th highest weighted by the r-th slot.  The slopes fall as the
+    quantile grows, so the r-th highest value is at least a run's slope
+    exactly when r or more members draw quantiles at most the run's end
+    q.  Summed over the slots, that is the chance that exactly c members
+    do, times the weight w_1 + ... + w_c of the first c slots, over c:
+    sum_c C(n, c) q^c (1-q)^(n-c) (w_1 + ... + w_c),
     which is n Y(q), the integral of the interim allocation that
     quadrature reads off the same ``_bernstein`` rows.  A block of 1030 or
     more members, whose binomial row overflows a float, is refused.
     """
     _refuse_exact(dist, env, "virtual_welfare_bound", "virtual-welfare")
-    hull = concave_envelope(curve_from_price_runs(dist.price_runs))
-    edges = dist.price_runs.edges
-    rising = edges[1:] > edges[:-1]
-    levels = edges[1:][rising]  # each nonempty run's end
-    heights = hull.evaluate(edges)
-    phi = np.maximum((heights[1:][rising] - heights[:-1][rising]) / (levels - edges[:-1][rising]), 0.0)
+    curve = curve_from_price_runs(dist.price_runs)
+    phi = np.maximum(np.diff(concave_envelope(curve).evaluate(curve.qs)) / np.diff(curve.qs), 0.0)
     drops = phi - np.append(phi[1:], 0.0)
     terms = []
     for members, slots in env.blocks:
-        served = _bernstein(levels, len(members)) @ np.concatenate(([0.0], np.cumsum(slots)))
+        served = _bernstein(curve.qs[1:], len(members)) @ np.concatenate(([0.0], np.cumsum(slots)))  # at run ends
         terms += (drops * served).tolist()
     return math.fsum(terms)
 

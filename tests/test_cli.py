@@ -294,6 +294,12 @@ ARRAY = "[1, 2]"
                  "--h-max", "0"], f"the sample count overflows a float at n={10**300}, gamma=1e+300, h_max=0.0"),
         (ARRAY, ["calc", "bound", "--m", "100", "--delta", "0.1", "--n", str(10**308), "--h-max", "10"],
          f"the loss bound overflows a float at n={10**308}, h_max=10.0"),
+        ('{"reserve": 1.0, "intervals": [{"lo": 5, "hi": 3}]}', ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"],
+         "bad value interval [5.0, 3.0)"),
+        ('{"reserve": 1.0, "intervals": [{"lo": -5, "hi": 3}]}', ["eval", "--dist", "d.json", "--env", "e.json", "--plan", "bad.json"],
+         "bad value interval [-5.0, 3.0)"),
+        ('{"reserve": -1, "intervals": []}', ["run", "--env", "e.json", "--plan", "bad.json", "--bids", "bids.csv"],
+         "reserve must be finite and nonnegative"),
     ],
     ids=[
         "dist_array", "env_array", "plan_array", "n_string", "n_float", "zero_trials",
@@ -307,7 +313,8 @@ ARRAY = "[1, 2]"
         "run_negative_seed", "eval_negative_seed", "loss_negative_seed", "regret_negative_seed",
         "regret_T_beyond_one_word_spawn_keys", "bound_m_beyond_float", "bound_n_beyond_float",
         "samples_n_beyond_float", "samples_gamma_count_overflows", "samples_h_max_count_infinite",
-        "samples_infinite_times_zero_h_max", "bound_beyond_float",
+        "samples_infinite_times_zero_h_max", "bound_beyond_float", "plan_interval_reversed",
+        "plan_interval_below_zero", "plan_reserve_negative",
     ],
 )
 def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json, args, message):
@@ -316,6 +323,13 @@ def test_bad_input_exits_2_with_a_message(workdir, capsys, monkeypatch, bad_json
     monkeypatch.chdir(workdir)
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_threads_must_be_an_integer(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("MYERSON_LAB_THREADS", "abc")
+    monkeypatch.chdir(workdir)
+    assert main(["experiment", "regret", "--dist", "d.json", "--env", "e.json", "--T", "3", "--seeds", "2"]) == 2
+    assert capsys.readouterr().err == "error: MYERSON_LAB_THREADS must be an integer, got 'abc'\n"
 
 
 def test_experiment_loss_on_a_five_atom_law(workdir, monkeypatch):

@@ -369,6 +369,30 @@ def test_induced_curve_prices_a_zero_mass_atom_at_its_point():
         assert quad == pytest.approx(expected_revenue_enum(d, env, plan).expected_revenue, abs=1e-12)
 
 
+def test_induced_curve_drops_empty_runs_and_moves_no_vertex():
+    # zero-probability atoms at 1 (first), 5 (inner) and 9 (last) leave empty runs at q = 1, inside and at q = 0;
+    # reserves and interval ends sit on those atoms, between atoms and above the top atom
+    laws = [
+        ValueDistribution.discrete([(1.0, 0.0), (3.0, 0.4), (5.0, 0.0), (7.0, 0.6), (9.0, 0.0)], h_max=10.0),
+        ValueDistribution.discrete([(1.0, 0.0), (5.0, 1.0)], h_max=10.0),
+        ValueDistribution.discrete([(3.0, 0.5), (5.0, 0.0), (6.0, 0.0), (9.0, 0.5)], h_max=10.0),
+        ValueDistribution.discrete([(1.0, 0.3), (2.0, 0.3), (5.0, 0.4), (9.0, 0.0)], h_max=10.0),
+    ]
+    ends = [0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0, 9.0, 9.5, 10.0]
+    plans = [IroningPlan.empty()]
+    plans += [IroningPlan.canonical([], r) for r in ends]
+    plans += [IroningPlan.canonical([(lo, hi)], r) for lo in ends for hi in ends if lo < hi for r in (0.0, 1.0, 5.0)]
+    plans += [IroningPlan.canonical([(1.0, 5.0), (5.0, 9.0)], r) for r in (0.0, 1.0, 2.0)]
+    for d in laws:
+        runs = d.price_runs
+        assert (runs.edges[1:] == runs.edges[:-1]).any()
+        nonempty = PriceRuns.nonempty(runs.edges, runs.prices)
+        for plan in plans:
+            got, want = induced_curve(runs, plan), induced_curve(nonempty, plan)
+            for name in ("qs", "left", "right"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_induced_curve_refuses_rising_prices():
     # runs whose prices rise are refused when they are built, before
     # induced_curve, optimal_induced or plan_from_price_runs can see them

@@ -12,6 +12,7 @@ from myerson_lab.empirical import EmpiricalQuantile, dkw_epsilon, min_price_runs
 from myerson_lab.learner import (
     IroningPlan,
     _count_plans,
+    _row_groups,
     compute_auction,
     loss_bound,
     optimal_induced,
@@ -217,3 +218,20 @@ def test_count_rows_without_confidence_learn_the_empty_plan():
     plans = [plans[i] for i in ids]
     assert plans[:2] == [IroningPlan.empty()] * 2
     assert plans[2] == compute_auction([0.0, 2.0, 5.0], 0.5, 5.0) != IroningPlan.empty()
+
+
+def test_row_groups_partition_rows_as_unique_does():
+    # the learner's plan marks are uint8, its nonempty-run masks bool, Monte Carlo's sorted draws float
+    rng = np.random.default_rng(45)
+    for kind in (lambda a: a.astype(np.uint8), lambda a: a > 0, lambda a: a / 2.0 - 0.5):
+        for _ in range(60):
+            r, c = int(rng.choice([1, 2, int(rng.integers(3, 200))])), int(rng.integers(1, 11))
+            ints = rng.integers(0, int(rng.integers(1, 4)), size=(r, c))
+            if rng.random() < 0.1:
+                ints[:] = ints[0]  # all rows equal
+            rows = kind(ints)
+            groups, firsts = _row_groups(rows)
+            unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert len(firsts) == len(unique)
+            assert (inverse[firsts][groups] == inverse).all()  # the same partition, numbered apart
+            assert [int(np.flatnonzero(groups == g)[0]) for g in range(len(firsts))] == firsts.tolist()

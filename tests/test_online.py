@@ -248,6 +248,11 @@ def test_rejects_bad_inputs(bimodal_small):
     huge = ValueDistribution.discrete([(1.0, 0.5), (1e308, 0.5)], h_max=1e308)
     with pytest.raises(ValueError, match="the loss bound overflows a float at n=3, h_max=1e"):
         run_no_regret(huge, env, T=5, delta=0.1, seed=0)
+    # round 0's bound n * H overflows here, while every later round's 3 * epsilon_t * n * H stays finite
+    wide = ValueDistribution.discrete([(1.0, 0.5), (3e306, 0.5)], h_max=3e306)
+    assert np.isfinite(loss_bound(100 * np.arange(1, 4), 0.1 / 3, 100, 3e306)).all()
+    with pytest.raises(ValueError, match=r"the loss bound overflows a float at n=100, h_max=3e\+306"):
+        run_no_regret(wide, Environment.single_item(100), T=3, delta=0.1, seed=0)
     # regret_bound checks n and H as loss_bound does
     for n, h, message in ((0, 1.0, "n must be >= 1"), (-1, 1.0, "n must be >= 1"),
                           (3, math.nan, "h_max must be finite"), (3, -1.0, "h_max must be >= 0")):

@@ -13,6 +13,7 @@ from myerson_lab.environments import Environment
 from myerson_lab.learner import IroningPlan, compute_auction
 from myerson_lab.oracle import (
     GuardError,
+    RevenueReport,
     additive_loss,
     expected_revenue_enum,
     expected_revenue_mc,
@@ -279,6 +280,20 @@ def test_optimal_plan_meets_virtual_welfare_bound():
             plan = compute_auction(sample(d, m, rng), 0.2, d.h_max)
             assert expected_revenue_enum(d, env, plan).expected_revenue <= bound + 1e-12
     assert kinds == {"single_item", "k_unit", "position", "uniform", "partition"}
+    # zero-probability atoms, first, inner or last, leave empty price runs, which the bound drops
+    zero_atoms = {"first": 0, "inner": 0, "last": 0}
+    for _ in range(150):
+        d = random_grid_law(rng, max_atoms=6)
+        zero = [p == 0.0 for _, p in d.atoms]
+        zero_atoms["first"] += zero[0] and len(zero) > 1
+        zero_atoms["inner"] += any(zero[1:-1])
+        zero_atoms["last"] += zero[-1] and len(zero) > 1
+        env = (random_slot_env if rng.random() < 0.6 else random_matroid_env)(rng, n_max=4)
+        bound = virtual_welfare_bound(d, env)
+        assert expected_revenue_enum(d, env, optimal_plan(d)).expected_revenue == pytest.approx(bound, abs=1e-12)
+        plan = random_grid_plan(rng)
+        assert expected_revenue_enum(d, env, plan).expected_revenue <= bound + 1e-12
+    assert min(zero_atoms.values()) > 0
 
 
 def test_quadrature_example1_closed_form():
@@ -522,6 +537,25 @@ def test_additive_loss_positive_without_ironing(bimodal_small):
     env = Environment.single_item(3)
     loss = additive_loss(bimodal_small, env, IroningPlan.canonical([], 1.0))
     assert loss > 0.0
+
+
+def test_a_learned_plan_that_beats_the_optimum_trips_additive_loss(bimodal_small, monkeypatch):
+    env = Environment.single_item(3)
+    quadrature = oracle_module.expected_revenue_quadrature
+    best = optimal_plan(bimodal_small)
+    opt = quadrature(bimodal_small, env, best).expected_revenue
+    learned = IroningPlan.canonical([], 1.0)
+    for excess in (1e-10, 1e-6):
+        monkeypatch.setattr(
+            oracle_module,
+            "expected_revenue_quadrature",
+            lambda d, e, plan: quadrature(d, e, plan) if plan == best else RevenueReport(opt + excess, "quadrature"),
+        )
+        if excess < 1e-9:  # within the tolerance, float noise is charged no loss
+            assert additive_loss(bimodal_small, env, learned) == 0.0
+        else:
+            with pytest.raises(RuntimeError, match="beats the optimal oracle"):
+                additive_loss(bimodal_small, env, learned)
 
 
 def test_additive_loss_bounded_by_pointwise_gap(bimodal_small):
